@@ -1,4 +1,4 @@
-//! Scan-engine smoke benchmark; see `btr_bench::experiments::scan_pipeline`.
+//! Scan smoke benchmark; see `btr_bench::experiments::scan_pipeline`.
 //!
 //! Prints the table and, when `BENCH_SCAN_JSON` is set, writes the machine-
 //! readable metrics (rows/s, bytes fetched, cache hit rate) to that path —

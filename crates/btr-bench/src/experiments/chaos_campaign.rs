@@ -1,9 +1,9 @@
 //! Chaos campaign smoke: randomized fault schedules over concurrent scans.
 //!
-//! Runs `btr_scan::chaos::run_campaign` — each schedule is a fresh
+//! Runs `btr_server::chaos::run_campaign` — each schedule is a fresh
 //! simulated object store with a randomized [`btr_s3sim::FaultPlan`]
-//! (sometimes plus a permanently bit-flipped stored block), eight
-//! concurrent scans, and classification of every outcome. The campaign's
+//! (sometimes plus a permanently bit-flipped stored block), a fresh scan
+//! service, eight concurrent scans, and classification of every outcome. The campaign's
 //! pass condition is structural, not a throughput number: zero panics,
 //! zero scans whose output diverges from the fault-free reference, and
 //! zero failures that are not typed and attributed to an injected fault.
@@ -12,11 +12,10 @@
 //! quarantines) for CI trend-watching.
 
 use crate::{time_it, Table};
-use btr_scan::chaos::{run_campaign, ChaosConfig};
-use btr_scan::ChaosReport;
+use btr_server::{run_campaign, ChaosConfig, ChaosReport};
 
 /// Schedules to run; `BENCH_CHAOS_SCHEDULES` overrides (check.sh keeps the
-/// smoke small, the acceptance test in btr-scan runs 1,000).
+/// smoke small, the acceptance test in btr-server runs 1,000).
 pub fn bench_schedules() -> usize {
     std::env::var("BENCH_CHAOS_SCHEDULES")
         .ok()

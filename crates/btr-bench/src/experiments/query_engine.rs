@@ -4,15 +4,14 @@
 //! (decode every block, then filter rows) at three selectivities, and what
 //! aggregate pushdown buys over a full decode-and-fold. Each filter variant
 //! runs the same multi-conjunct expression; the pushdown side goes through
-//! `engine.scan` (zone pruning, compressed-domain leaves, late
-//! materialization) while the baseline drains an unfiltered scan and filters
-//! the materialized batches row by row. `BENCH_query.json` records the
+//! the scan service with the expression (zone pruning, compressed-domain
+//! leaves, late materialization) while the baseline drains an unfiltered
+//! scan and filters the materialized batches row by row. `BENCH_query.json` records the
 //! speedups for CI trend-watching.
 
 use crate::{time_it, Table};
-use btr_scan::{
-    col, lit, AggValue, Aggregate, EngineOptions, MemorySource, RecordBatch, ScanEngine, ScanSpec,
-};
+use btr_scan::{col, lit, AggValue, Aggregate, BlockSource, MemorySource, RecordBatch};
+use btr_server::{ScanClient, ScanService, ScanSpec, ServiceOptions};
 use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, StringArena};
 use std::sync::Arc;
 
@@ -23,7 +22,7 @@ pub struct FilterRun {
     pub selectivity: f64,
     /// Rows the filter kept (identical for both plans).
     pub rows_out: u64,
-    /// Wall seconds for the pushdown plan (`engine.scan` with the expression).
+    /// Wall seconds for the pushdown plan (a scan with the expression).
     pub pushdown_seconds: f64,
     /// Wall seconds for decode-everything-then-filter.
     pub baseline_seconds: f64,
@@ -50,7 +49,7 @@ impl FilterRun {
 /// full decode-and-fold.
 #[derive(Debug, Clone)]
 pub struct AggRun {
-    /// Wall seconds for `engine.aggregate` (zones answer MIN/MAX/COUNT).
+    /// Wall seconds for `ScanClient::aggregate` (zones answer MIN/MAX/COUNT).
     pub pushdown_seconds: f64,
     /// Wall seconds for decoding every block and folding rows.
     pub baseline_seconds: f64,
@@ -121,6 +120,18 @@ fn filter_batches(batches: &[RecordBatch], cutoff: i32) -> u64 {
     kept
 }
 
+/// A fresh service (cold cache, nothing shared with other plans) with
+/// `source` registered as `"rel"`, plus a client.
+fn serve(cfg: &Config, source: &Arc<dyn BlockSource>, sidecar: &Sidecar) -> (ScanService, ScanClient) {
+    let service = ScanService::new(ServiceOptions {
+        config: cfg.clone(),
+        ..ServiceOptions::default()
+    });
+    service.register("rel", source.clone(), sidecar.clone());
+    let client = service.client("bench");
+    (service, client)
+}
+
 /// Runs the benchmark at the given scale.
 pub fn measure(rows: usize, seed: u64) -> QueryBench {
     let cfg = Config {
@@ -130,23 +141,18 @@ pub fn measure(rows: usize, seed: u64) -> QueryBench {
     let rel = build_relation(rows, seed);
     let sidecar = Sidecar::build(&rel, cfg.block_size);
     let compressed = Arc::new(btrblocks::compress(&rel, &cfg).expect("compress"));
-    let source = Arc::new(MemorySource::new("bench", compressed));
+    let source: Arc<dyn BlockSource> = Arc::new(MemorySource::new("bench", compressed));
 
     let mut filters = Vec::new();
     for selectivity in [0.01, 0.10, 0.90] {
         let cutoff = ((rows as f64) * selectivity) as i32;
         let expr = col("id").lt(lit(cutoff)).and(col("val").ge(lit(0.0)));
 
-        // Fresh engines per plan: both sides run cold, nothing is shared.
-        let engine = ScanEngine::new(EngineOptions {
-            config: cfg.clone(),
-            ..EngineOptions::default()
-        });
+        // Fresh services per plan: both sides run cold, nothing is shared.
+        let (_service, client) = serve(&cfg, &source, &sidecar);
         let spec = ScanSpec::project(["id", "val"]).with_expr(expr);
         let (push, pushdown_seconds) = time_it(|| {
-            let mut scan = engine
-                .scan(source.clone(), &sidecar, &spec)
-                .expect("pushdown plan");
+            let mut scan = client.submit("rel", &spec).expect("pushdown plan");
             let rows_out: u64 = scan
                 .by_ref()
                 .map(|b| b.expect("in-memory scan").rows() as u64)
@@ -155,15 +161,10 @@ pub fn measure(rows: usize, seed: u64) -> QueryBench {
         });
         let (rows_out, report) = push;
 
-        let engine = ScanEngine::new(EngineOptions {
-            config: cfg.clone(),
-            ..EngineOptions::default()
-        });
+        let (_service, client) = serve(&cfg, &source, &sidecar);
         let full = ScanSpec::project(["id", "val"]);
         let (base, baseline_seconds) = time_it(|| {
-            let mut scan = engine
-                .scan(source.clone(), &sidecar, &full)
-                .expect("baseline plan");
+            let mut scan = client.submit("rel", &full).expect("baseline plan");
             let batches: Vec<RecordBatch> =
                 scan.by_ref().map(|b| b.expect("in-memory scan")).collect();
             (filter_batches(&batches, cutoff), scan.report())
@@ -184,10 +185,7 @@ pub fn measure(rows: usize, seed: u64) -> QueryBench {
 
     // Aggregates without a filter: COUNT/MIN/MAX answer straight from the
     // zone maps — no block is fetched, let alone decoded.
-    let engine = ScanEngine::new(EngineOptions {
-        config: cfg.clone(),
-        ..EngineOptions::default()
-    });
+    let (_service, client) = serve(&cfg, &source, &sidecar);
     let agg_spec = ScanSpec::aggregate([
         Aggregate::count("id"),
         Aggregate::min("id"),
@@ -196,20 +194,13 @@ pub fn measure(rows: usize, seed: u64) -> QueryBench {
         Aggregate::max("val"),
     ]);
     let (agg_report, pushdown_seconds) = time_it(|| {
-        engine
-            .aggregate(source.clone(), &sidecar, &agg_spec)
-            .expect("aggregate plan")
+        client.aggregate("rel", &agg_spec).expect("aggregate plan")
     });
 
-    let engine = ScanEngine::new(EngineOptions {
-        config: cfg,
-        ..EngineOptions::default()
-    });
+    let (_service, client) = serve(&cfg, &source, &sidecar);
     let full = ScanSpec::project(["id", "val"]);
     let (_, baseline_seconds) = time_it(|| {
-        let mut scan = engine
-            .scan(source.clone(), &sidecar, &full)
-            .expect("baseline plan");
+        let mut scan = client.submit("rel", &full).expect("baseline plan");
         let mut count = 0u64;
         let (mut min_id, mut max_id) = (i32::MAX, i32::MIN);
         let (mut min_val, mut max_val) = (f64::INFINITY, f64::NEG_INFINITY);

@@ -1,6 +1,7 @@
-//! Scan-engine smoke benchmark: pruning, pushdown, and cache economics.
+//! Scan smoke benchmark: pruning, pushdown, and cache economics.
 //!
-//! Exercises `btr-scan` end to end against the simulated object store: a
+//! Exercises the scan executor (`btr_server::ScanService` over btr-scan's
+//! parts) end to end against the simulated object store: a
 //! multi-block relation is uploaded once, then scanned three ways — a full
 //! scan (no predicate), a cold selective scan (zone maps prune, ranged GETs
 //! fetch only survivors) and an identical warm scan (served from the
@@ -10,11 +11,9 @@
 
 use crate::{Table, time_it};
 use btr_s3sim::{ObjectStore, RetryPolicy};
-use btr_scan::{
-    EngineOptions, ObjectStoreSource, Predicate, RelationLayout, ScanEngine, ScanReport,
-    ScanSpec,
-};
-use btrblocks::{CmpOp, Column, ColumnData, Config, Literal, Relation, Sidecar, StringArena};
+use btr_scan::{col, lit, BlockSource, ObjectStoreSource, RelationLayout};
+use btr_server::{ScanClient, ScanReport, ScanService, ScanSpec, ServiceOptions};
+use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, StringArena};
 use std::sync::Arc;
 
 /// One scan variant's metrics.
@@ -26,7 +25,7 @@ pub struct ScanRun {
     pub rows_out: u64,
     /// Output rows per wall-clock second.
     pub rows_per_s: f64,
-    /// The engine's own report.
+    /// The scan's own report.
     pub report: ScanReport,
 }
 
@@ -57,10 +56,22 @@ fn build_relation(rows: usize, seed: u64) -> Relation {
     ])
 }
 
-fn drain(engine: &ScanEngine, source: &Arc<ObjectStoreSource>, sidecar: &Sidecar, spec: &ScanSpec, name: &'static str) -> ScanRun {
+/// A fresh service (and so a cold cache) with `source` registered as
+/// `"rel"`, plus a client.
+fn serve(cfg: &Config, source: &Arc<dyn BlockSource>, sidecar: &Sidecar) -> (ScanService, ScanClient) {
+    let service = ScanService::new(ServiceOptions {
+        config: cfg.clone(),
+        ..ServiceOptions::default()
+    });
+    service.register("rel", source.clone(), sidecar.clone());
+    let client = service.client("bench");
+    (service, client)
+}
+
+fn drain(client: &ScanClient, spec: &ScanSpec, name: &'static str) -> ScanRun {
     let (result, secs) = time_it(|| {
-        let mut scan = engine
-            .scan(source.clone(), sidecar, spec)
+        let mut scan = client
+            .submit("rel", spec)
             .expect("scan plans against its own layout");
         let rows: u64 = scan
             .by_ref()
@@ -94,34 +105,25 @@ pub fn measure(rows: usize, seed: u64) -> ScanBench {
 
     let store = Arc::new(ObjectStore::new());
     store.put("bench/rel.btr", file);
-    let source = Arc::new(ObjectStoreSource::new(
+    let source: Arc<dyn BlockSource> = Arc::new(ObjectStoreSource::new(
         store,
         "bench/rel.btr",
         layout,
         RetryPolicy::default(),
     ));
 
-    let engine = ScanEngine::new(EngineOptions {
-        config: cfg.clone(),
-        ..EngineOptions::default()
-    });
     // Selective: first tenth of the key space survives the zone maps.
-    let selective = ScanSpec::project(["id", "val", "tag"]).with_predicate(Predicate {
-        column: "id".into(),
-        op: CmpOp::Lt,
-        literal: Literal::Int((rows / 10) as i32),
-    });
+    let selective = ScanSpec::project(["id", "val", "tag"])
+        .with_expr(col("id").lt(lit((rows / 10) as i32)));
     let full = ScanSpec::project(["id", "val", "tag"]);
 
     // The full scan would leave every block in the cache; the selective
-    // pair runs on a fresh engine so "cold" really is cold.
-    let full_run = drain(&engine, &source, &sidecar, &full, "full");
-    let engine = ScanEngine::new(EngineOptions {
-        config: cfg,
-        ..EngineOptions::default()
-    });
-    let cold = drain(&engine, &source, &sidecar, &selective, "cold-selective");
-    let warm = drain(&engine, &source, &sidecar, &selective, "warm-selective");
+    // pair runs on a fresh service so "cold" really is cold.
+    let (_service, client) = serve(&cfg, &source, &sidecar);
+    let full_run = drain(&client, &full, "full");
+    let (_service, client) = serve(&cfg, &source, &sidecar);
+    let cold = drain(&client, &selective, "cold-selective");
+    let warm = drain(&client, &selective, "warm-selective");
 
     ScanBench {
         file_bytes,
@@ -167,7 +169,7 @@ pub fn json(bench: &ScanBench, rows: usize, seed: u64) -> String {
     out
 }
 
-/// Renders the scan-engine table.
+/// Renders the scan table.
 pub fn run(rows: usize, seed: u64) -> String {
     render(&measure(rows, seed))
 }
@@ -203,7 +205,7 @@ pub fn render(bench: &ScanBench) -> String {
         ]);
     }
     format!(
-        "Scan engine over simulated object store ({} bytes object, 3 columns)\n\
+        "Scan service over simulated object store ({} bytes object, 3 columns)\n\
          full scan vs cold/warm selective scan (predicate keeps first tenth of the key space)\n\n{}",
         bench.file_bytes,
         table.render()

@@ -12,9 +12,9 @@
 
 use crate::{time_it, Table};
 use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy};
-use btr_scan::chaos::build_relation;
 use btr_scan::layout::RelationLayout;
 use btr_scan::ObjectStoreSource;
+use btr_server::chaos::build_relation;
 use btr_server::{ScanService, ScanSpec, ServiceOptions};
 use btrblocks::{Config, Sidecar};
 use std::sync::Arc;

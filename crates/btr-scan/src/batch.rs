@@ -1,7 +1,7 @@
 //! Materialized scan output: fixed-size record batches.
 //!
-//! The engine decodes whole blocks but hands results to the consumer in
-//! batches of `EngineOptions::batch_rows` rows, so downstream operators see a
+//! The scan executor decodes whole blocks but hands results to the consumer
+//! in batches of `ServiceOptions::batch_rows` rows, so downstream operators see a
 //! steady granularity regardless of how the relation was blocked. This
 //! module holds the batch type plus the gather/append/split plumbing the
 //! iterator uses to re-chunk decoded blocks.

@@ -1,70 +1,47 @@
-//! btr-scan: a pipelined scan engine over BtrBlocks relations.
+//! btr-scan: the parts of a scan over BtrBlocks relations.
 //!
 //! The paper's economics (§6.7) hinge on scans of cloud-resident data being
 //! network-bound: decompression must keep up with the wire, and "metadata,
 //! statistics and indices … may be added on top" (§2.1) to avoid moving
-//! bytes at all. This crate is that serving layer. It composes pieces that
-//! already exist in the workspace — zone-map sidecars
+//! bytes at all. This crate holds the pieces such a scan is built from. It
+//! composes what already exists in the workspace — zone-map sidecars
 //! ([`btrblocks::Sidecar`]), compressed-domain predicate evaluation
 //! ([`btrblocks::filter_block`]), per-block decode
 //! ([`btrblocks::decompress_block`]) and the costed object store
-//! ([`btr_s3sim::ObjectStore`]) — into one pull-based pipeline:
+//! ([`btr_s3sim::ObjectStore`]) — into the stages of one row group's trip:
 //!
 //! ```text
-//! planner ──> prefetch (ranged GETs, bounded in-flight, retries)
+//! planner ──> source (ranged GETs, retries, breaker, quarantine)
 //!        \        │
 //!         \       ▼
-//!          decode workers ──(in block order)──> BatchIterator ──> RecordBatch
+//!          BlockPipeline::process ──> gathered columns ──> RecordBatch
 //!               │   ▲
 //!               ▼   │ hits skip fetch + decode entirely
 //!          decoded-block cache (sharded LRU, byte budget)
 //! ```
 //!
-//! * **Planner** ([`plan`]): resolves the projection and predicate against
+//! * **Planner** ([`plan`]): resolves the projection and filter against
 //!   the source schema and consults the zone-map sidecar; blocks whose zones
 //!   cannot match are pruned before any byte is fetched.
-//! * **Prefetch + decode** ([`engine`]): a worker pool claims surviving row
-//!   groups with a bounded look-ahead window, fetches block payloads
-//!   (ranged GETs with retry/backoff against an object store, or slices of
-//!   an in-memory relation), evaluates the predicate in the compressed
-//!   domain when the scheme has a fast path, and decodes only what survives.
+//! * **Pipeline** ([`pipeline`]): processes one row group — cache lookup,
+//!   fetch, compressed-domain filter evaluation when the scheme has a fast
+//!   path, decode of only what survives, gather — plus the aggregate fold
+//!   and the degradation ladder that sizes the executor's look-ahead.
+//! * **Sources and fault tolerance** ([`source`], [`retry`], [`layout`]):
+//!   block bytes from memory or from ranged GETs with retry/backoff,
+//!   deadlines, retry budgets, a circuit breaker, hedging and quarantine.
 //! * **Cache** ([`cache`]): a sharded LRU of *decoded* blocks keyed by
 //!   `(relation, column, block)` under a byte budget — repeated scans of hot
 //!   columns skip decompression entirely.
 //! * **Batches** ([`batch`]): results materialize as fixed-size
-//!   [`RecordBatch`]es pulled from a [`Scan`] iterator; every scan yields a
-//!   [`ScanReport`] quantifying the fetch-vs-decode trade-off the paper
-//!   measures.
+//!   [`RecordBatch`]es.
 //!
-//! # Quick start
-//!
-//! ```
-//! use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, CmpOp, Literal};
-//! use btr_scan::{EngineOptions, MemorySource, Predicate, ScanEngine, ScanSpec};
-//! use std::sync::Arc;
-//!
-//! let cfg = Config { block_size: 1_000, ..Config::default() };
-//! let rel = Relation::new(vec![Column::new("id", ColumnData::Int((0..10_000).collect()))]);
-//! let sidecar = Sidecar::build(&rel, cfg.block_size);
-//! let compressed = Arc::new(btrblocks::compress(&rel, &cfg).unwrap());
-//!
-//! let engine = ScanEngine::new(EngineOptions { config: cfg, ..EngineOptions::default() });
-//! let source = Arc::new(MemorySource::new("rel", compressed));
-//! let spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-//!     column: "id".into(),
-//!     op: CmpOp::Lt,
-//!     literal: Literal::Int(1_500),
-//! });
-//! let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
-//! let rows: usize = scan.by_ref().map(|b| b.unwrap().rows()).sum();
-//! assert_eq!(rows, 1_500);
-//! assert!(scan.report().blocks_pruned > 0);
-//! ```
+//! The executor that drives these parts — worker pool, look-ahead window,
+//! ordered emission, admission and per-scan reports — is btr-server's scan
+//! service; its crate docs carry the quick start.
 
 pub mod batch;
 pub mod cache;
-pub mod chaos;
-pub mod engine;
 pub mod layout;
 pub mod pipeline;
 pub mod plan;
@@ -73,14 +50,12 @@ pub mod source;
 
 pub use batch::RecordBatch;
 pub use cache::{BlockCache, BlockKey, CacheStats};
-pub use chaos::{ChaosConfig, ChaosReport, ScheduleOutcome};
-pub use engine::{AggReport, EngineOptions, Scan, ScanEngine, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{
     AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, GroupCtx, PipelineCounters,
     PipelineFilter, PipelineParams,
 };
-pub use plan::{plan_scan, Predicate, RowGroup, ScanPlan, ScanSpec};
+pub use plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
 pub use retry::{
     BreakerConfig, BreakerState, CircuitBreaker, FetchCtl, HedgeConfig, RetryBudgetConfig,
     SourceHealth, Tolerance,
@@ -90,7 +65,9 @@ pub use source::{BlockSource, FetchStats, MemorySource, ObjectStoreSource, Sourc
 // The expression vocabulary: build filters with `col`/`lit` and the `Expr`
 // builder methods, aggregates with `Aggregate`; results come back as
 // `AggValue`s. All of it lives in the btr-expr kernel crate.
-pub use btr_expr::{col, lit, AggKind, AggValue, Aggregate, Expr, ExprError, ExprPlan, Selection};
+pub use btr_expr::{
+    col, lit, AggKind, AggState, AggValue, Aggregate, Expr, ExprError, ExprPlan, Selection,
+};
 
 // The time/budget primitives live next to the simulator's retry driver so
 // both crates share one definition; re-export them as part of this API.

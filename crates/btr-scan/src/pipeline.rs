@@ -2,11 +2,9 @@
 //!
 //! [`BlockPipeline`] is the piece of a scan that processes one row group —
 //! cache lookup, fetch, compressed-domain predicate evaluation, decode, and
-//! row gathering — factored out of the engine so it can be driven by more
-//! than one executor. [`crate::ScanEngine`] wraps it in a per-scan worker
-//! pool; a scan *service* (btr-server) builds one pipeline per admitted scan
-//! over a **shared** cache and a **shared** source, and drives many of them
-//! from one service-wide pool.
+//! row gathering. The scan executor (btr-server's scan service) builds one
+//! pipeline per admitted scan over a **shared** cache and a **shared**
+//! source, and drives many of them from one service-wide worker pool.
 //!
 //! Everything a pipeline borrows is behind `Arc`, so N pipelines over the
 //! same relation share:
@@ -23,9 +21,6 @@
 //!   publishes nothing; waiters retry under their own deadline/budget, never
 //!   inheriting the owner's error (same contract as the source's in-flight
 //!   table).
-//!
-//! The engine leaves the gate off (a single scan cannot race itself past the
-//! cache), so its behavior is exactly the pre-refactor pipeline.
 
 use crate::batch::{empty_like, gather};
 use crate::cache::{BlockCache, BlockKey};
@@ -44,6 +39,7 @@ use btrblocks::{
     DecodeScratch, DecodedColumn, Literal,
 };
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use btr_sync::{OrderedCondvar, OrderedMutex, Rank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -306,7 +302,8 @@ impl BlockPipeline {
         Ok(())
     }
 
-    /// Current degradation-ladder rung; see the engine's module docs.
+    /// Current degradation-ladder rung (DESIGN.md §13.4): 0 healthy, 1
+    /// cache-pressure bypass, 2 breaker half-open, 3 breaker open.
     fn degradation_level(&self) -> u64 {
         match self
             .source
@@ -326,9 +323,10 @@ impl BlockPipeline {
     }
 
     /// Re-evaluates the degradation ladder: records upward moves and returns
-    /// the prefetch window the executor should run with right now. Callers
-    /// re-check once per claimed row group, so a scan reacts to a breaker
-    /// opening mid-flight.
+    /// the prefetch window the executor should run with right now — the
+    /// healthy window, half of it while the breaker is half-open, 1 while it
+    /// is open. The executor re-checks at submit and on every refill, so a
+    /// scan reacts to a breaker opening mid-flight.
     pub fn refresh_window(&self) -> usize {
         let level = self.degradation_level();
         let prev = self
@@ -598,6 +596,25 @@ impl BlockPipeline {
         Ok(selection)
     }
 
+    /// [`BlockPipeline::process`] with panics contained: a panic while
+    /// processing surfaces as [`ScanError::Worker`] naming the row group
+    /// (`index` within the plan) and its block, so one poisoned group fails
+    /// its scan instead of killing the worker that ran it.
+    pub fn process_contained(
+        &self,
+        index: usize,
+        group: RowGroup,
+        scratch: &mut DecodeScratch,
+    ) -> Result<BlockResult> {
+        catch_unwind(AssertUnwindSafe(|| self.process(group, scratch))).unwrap_or_else(|payload| {
+            Err(ScanError::Worker(format!(
+                "row group {index} (block {}): {}",
+                group.block,
+                panic_text(payload.as_ref())
+            )))
+        })
+    }
+
     /// Processes one row group: filter first (compressed-domain and
     /// zone-masked where possible), then decode + gather of only the blocks
     /// whose values are actually needed — late materialization.
@@ -718,6 +735,16 @@ impl BlockPipeline {
             }
         }
         Ok(counts)
+    }
+}
+
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

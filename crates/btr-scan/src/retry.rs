@@ -9,7 +9,7 @@
 //!   [`crate::ScanSpec`]: a wall-clock budget on the simulated clock
 //!   ([`Deadline`]) and a token-bucket [`RetryBudget`] shared by every fetch
 //!   of the scan, so retries cannot amplify under a fault storm.
-//! * [`FetchCtl`] — the engine threads deadline + budget down to
+//! * [`FetchCtl`] — the scan executor threads deadline + budget down to
 //!   [`crate::BlockSource::fetch_ctl`] through this handle.
 //! * [`CircuitBreaker`] — a per-source closed/open/half-open breaker
 //!   counting *fetch outcomes* (not individual attempts, which would trip on
@@ -26,6 +26,7 @@
 //!
 //! Everything time-based runs on [`SimClock`]; nothing here sleeps.
 
+use crate::source::BlockSource;
 use btr_s3sim::{Deadline, RetryBudget, SimClock};
 use std::collections::{HashMap, HashSet};
 use btr_sync::{OrderedCondvar, OrderedMutex, Rank};
@@ -69,8 +70,8 @@ pub struct RetryBudgetConfig {
     pub refill_per_second: f64,
 }
 
-/// Deadline and retry budget a fetch must honour, threaded from the engine
-/// into [`crate::BlockSource::fetch_ctl`].
+/// Deadline and retry budget a fetch must honour, threaded from the scan
+/// executor into [`crate::BlockSource::fetch_ctl`].
 #[derive(Debug, Clone, Default)]
 pub struct FetchCtl {
     /// Scan deadline on the source's simulated clock.
@@ -78,8 +79,33 @@ pub struct FetchCtl {
     /// Scan-wide retry budget.
     pub budget: Option<Arc<RetryBudget>>,
     /// Tenant identity for per-tenant GET accounting in the store; `None`
-    /// (engine-driven scans) bills nothing per tenant.
+    /// bills nothing per tenant.
     pub tenant: Option<Arc<str>>,
+}
+
+impl FetchCtl {
+    /// The control for one scan of `source` under `tolerance`: the deadline
+    /// starts now on the source's simulated clock (a fresh clock for sources
+    /// without health state), and the retry budget is the scan's own bucket.
+    pub fn for_scan(
+        source: &dyn BlockSource,
+        tolerance: &Tolerance,
+        tenant: Option<Arc<str>>,
+    ) -> FetchCtl {
+        let clock = source
+            .health()
+            .map(|h| h.clock().clone())
+            .unwrap_or_default();
+        FetchCtl {
+            deadline: tolerance
+                .deadline_seconds
+                .map(|seconds| Deadline::after(&clock, seconds)),
+            budget: tolerance
+                .retry_budget
+                .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
+            tenant,
+        }
+    }
 }
 
 /// Hedged-GET configuration for an object-store source.

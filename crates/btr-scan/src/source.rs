@@ -1,7 +1,7 @@
 //! Where block bytes come from: in-memory relations or a (simulated) object
 //! store reached with ranged GETs.
 //!
-//! The engine is written against [`BlockSource`] so the same pipeline runs
+//! The pipeline is written against [`BlockSource`] so the same scan runs
 //! over a `CompressedRelation` already in memory (tests, local files) and
 //! over `btr-s3sim`'s costed store (the paper's cloud setting, §6.7). The
 //! object-store source fetches exactly one block payload per ranged GET,
@@ -46,7 +46,7 @@ pub struct SourceColumn {
     pub blocks: usize,
 }
 
-/// Fetch-side counters, snapshotted into the [`crate::ScanReport`].
+/// Fetch-side counters; a scan's report carries their deltas since submit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FetchStats {
     /// Fetch requests issued (each attempt counts, hedges included).
@@ -69,7 +69,7 @@ pub struct FetchStats {
 
 /// A supplier of compressed block payloads.
 ///
-/// Implementations must be thread-safe: the engine's workers fetch
+/// Implementations must be thread-safe: the executor's workers fetch
 /// concurrently.
 pub trait BlockSource: Send + Sync {
     /// Stable identity of the relation (cache key component).

@@ -1,13 +1,13 @@
-//! btr-server: an in-process, multi-tenant scan service over BtrBlocks
-//! relations.
+//! btr-server: the scan executor — an in-process, multi-tenant scan service
+//! over BtrBlocks relations.
 //!
-//! [`btr_scan::ScanEngine`] executes one scan well: it owns a worker pool
-//! and a decoded-block cache per engine, and each scan runs to completion
-//! as if it were alone. A data-lake serving tier is not like that — many
-//! tenants scan overlapping relations at once, and the paper's economics
-//! (§6.7: scans should stay network-bound, every GET is billed) reward
-//! *sharing* aggressively across them. This crate is that serving tier,
-//! built from the shareable pieces btr-scan exposes:
+//! Every streaming scan and every aggregate in the workspace runs here. A
+//! data-lake serving tier has many tenants scanning overlapping relations
+//! at once, and the paper's economics (§6.7: scans should stay
+//! network-bound, every GET is billed) reward *sharing* aggressively across
+//! them; a single scan is just the one-tenant case. The service is built
+//! from the parts btr-scan exposes (planner, [`btr_scan::BlockPipeline`],
+//! cache, sources, retry/breaker):
 //!
 //! ```text
 //!  ScanClient(tenant A) ─┐ submit(ScanSpec)
@@ -43,21 +43,27 @@
 //!   admitted work is dispatched by per-tenant deficit round-robin, so a
 //!   tenant's point query is never stuck behind another tenant's table
 //!   scan.
-//! * **Accounting**: per-tenant and service-wide [`ServiceReport`] —
-//!   dedup hits, coalesced blocks, queue-wait percentiles (logical
-//!   dispatch distance and real seconds), admission rejections — plus
-//!   per-tenant GET attribution down in [`btr_s3sim::ObjectStore`].
+//! * **Degradation ladder**: each scan's look-ahead window comes from
+//!   [`btr_scan::BlockPipeline::refresh_window`] at submit and on every
+//!   refill — the configured window while the source is healthy, half of it
+//!   while its breaker is half-open, 1 while it is open.
+//! * **Accounting**: a per-scan [`ScanReport`] (pipeline counters, plan
+//!   counts, source-stat deltas since submit), per-tenant and service-wide
+//!   [`ServiceReport`] — dedup hits, coalesced blocks, queue-wait
+//!   percentiles (logical dispatch distance and real seconds), admission
+//!   rejections — plus per-tenant GET attribution down in
+//!   [`btr_s3sim::ObjectStore`].
 //!
 //! # Quick start
 //!
 //! ```
 //! use btrblocks::{Column, ColumnData, Config, Relation, Sidecar};
-//! use btr_scan::{MemorySource, ScanSpec};
+//! use btr_scan::{col, lit, MemorySource, ScanSpec};
 //! use btr_server::{ScanService, ServiceOptions};
 //! use std::sync::Arc;
 //!
 //! let cfg = Config { block_size: 1_000, ..Config::default() };
-//! let rel = Relation::new(vec![Column::new("id", ColumnData::Int((0..8_000).collect()))]);
+//! let rel = Relation::new(vec![Column::new("id", ColumnData::Int((0..10_000).collect()))]);
 //! let sidecar = Sidecar::build(&rel, cfg.block_size);
 //! let compressed = Arc::new(btrblocks::compress(&rel, &cfg).unwrap());
 //!
@@ -67,8 +73,16 @@
 //! let client = service.client("tenant-a");
 //! let mut handle = client.submit("rel", &ScanSpec::project(["id"])).unwrap();
 //! let rows: usize = handle.by_ref().map(|b| b.unwrap().rows()).sum();
-//! assert_eq!(rows, 8_000);
+//! assert_eq!(rows, 10_000);
 //! assert!(service.report().tenants.iter().any(|t| t.tenant == "tenant-a"));
+//!
+//! // A filtered scan: zone maps prune every group past id 1,500 before any
+//! // fetch, and the handle's report shows it.
+//! let spec = ScanSpec::project(["id"]).with_expr(col("id").lt(lit(1_500)));
+//! let mut handle = client.submit("rel", &spec).unwrap();
+//! let rows: usize = handle.by_ref().map(|b| b.unwrap().rows()).sum();
+//! assert_eq!(rows, 1_500);
+//! assert!(handle.report().blocks_pruned > 0);
 //! ```
 
 pub mod chaos;
@@ -77,9 +91,9 @@ pub mod metrics;
 mod sched;
 mod service;
 
-pub use chaos::{run_service_campaign, ServiceChaosConfig, ServiceChaosReport};
+pub use chaos::{run_campaign, run_service_campaign, ChaosConfig, ChaosReport};
 pub use coalesce::{CoalesceStats, CoalescingSource};
-pub use metrics::{ServiceReport, TenantReport};
+pub use metrics::{AggReport, ScanReport, ServiceReport, TenantReport};
 pub use service::{ScanClient, ScanHandle, ScanService};
 
 // The service speaks btr-scan's vocabulary; re-export the types client code

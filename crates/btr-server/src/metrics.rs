@@ -8,7 +8,7 @@
 //! were dispatched while this one sat queued — which is immune to host
 //! speed and is what the fairness tests bound.
 
-use btr_scan::{CacheStats, PipelineCounters};
+use btr_scan::{AggSourceCounts, AggValue, CacheStats, PipelineCounters};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -124,6 +124,78 @@ pub struct ServiceReport {
     pub queue_wait_p50: f64,
     /// Service-wide 95th-percentile queue wait in real seconds.
     pub queue_wait_p95: f64,
+}
+
+/// What one scan did, quantifying the paper's fetch-vs-decode trade-off;
+/// see [`crate::ScanHandle::report`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScanReport {
+    /// Row groups in the relation.
+    pub blocks_total: u64,
+    /// Row groups the zone maps eliminated before any fetch.
+    pub blocks_pruned: u64,
+    /// Filter blocks evaluated in the compressed domain (no decode).
+    pub blocks_pushdown_fast_path: u64,
+    /// Blocks decompressed.
+    pub blocks_decoded: u64,
+    /// Blocks fetched from the source (cache hits fetch nothing).
+    pub blocks_fetched: u64,
+    /// Decoded-block cache hits.
+    pub cache_hits: u64,
+    /// Decoded-block cache misses.
+    pub cache_misses: u64,
+    /// Blocks received from another scan's in-flight decode through the
+    /// service's shared [`btr_scan::DecodeGate`].
+    pub dedup_hits: u64,
+    /// Compressed bytes pulled from the source since submit.
+    pub bytes_fetched: u64,
+    /// Fetch requests issued since submit (every retry attempt counts).
+    pub fetch_requests: u64,
+    /// Fetch retries after transient faults or checksum mismatches.
+    pub fetch_retries: u64,
+    /// Rows in the relation.
+    pub rows_total: u64,
+    /// Rows that matched the filter (all rows when there is none).
+    pub rows_matched: u64,
+    /// Record batches emitted.
+    pub batches: u64,
+    /// CPU time spent decompressing, summed across workers.
+    pub decode_seconds: f64,
+    /// Wall-clock time from submit to the scan's end (or to now, if it is
+    /// still running).
+    pub wall_seconds: f64,
+    /// Simulated backoff charged to fetches since submit, in seconds.
+    pub fetch_backoff_seconds: f64,
+    /// Hedged GETs issued since submit.
+    pub hedges_issued: u64,
+    /// Hedged GETs whose response won the race since submit.
+    pub hedges_won: u64,
+    /// Circuit-breaker state transitions since submit.
+    pub breaker_transitions: u64,
+    /// Blocks quarantined as permanently corrupt since submit.
+    pub blocks_quarantined: u64,
+    /// Upward degradation-ladder moves (cache bypass, shrunk window) taken
+    /// while this scan ran.
+    pub degradation_steps: u64,
+}
+
+/// Result of [`crate::ScanClient::aggregate`]: one value per requested
+/// aggregate, plus which rung of the pushdown lattice answered each group
+/// and the pipeline's fetch/decode activity.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggReport {
+    /// One value per `ScanSpec::aggregates` entry, in spec order.
+    pub values: Vec<AggValue>,
+    /// Row groups in the relation.
+    pub blocks_total: u64,
+    /// Row groups the zone maps eliminated before any fetch.
+    pub blocks_pruned: u64,
+    /// Rows in the relation.
+    pub rows_total: u64,
+    /// Per-aggregate-per-group counts of zone / compressed / decoded answers.
+    pub agg_sources: AggSourceCounts,
+    /// Fetch/decode/cache activity of the aggregate pass.
+    pub counters: PipelineCounters,
 }
 
 /// Nearest-rank percentile of an unsorted sample; 0.0 for an empty one.

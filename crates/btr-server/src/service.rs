@@ -11,20 +11,28 @@
 //! # Flow of one admitted scan
 //!
 //! 1. `submit` plans the scan, estimates per-row-group costs from
-//!    [`BlockSource::block_len`], and checks the two admission budgets
-//!    (outstanding tasks, outstanding estimated bytes). The *initial window*
-//!    of row groups is enqueued; interest in their blocks is registered with
-//!    the coalescing source so other scans' fetches can carry them.
+//!    [`BlockSource::block_len`], sizes the look-ahead window from the
+//!    degradation ladder ([`BlockPipeline::refresh_window`]), and checks the
+//!    two admission budgets (outstanding tasks, outstanding estimated
+//!    bytes). The *initial window* of row groups is enqueued; interest in
+//!    their blocks is registered with the coalescing source so other scans'
+//!    fetches can carry them.
 //! 2. Workers pull tasks via deficit round-robin, record the queue wait
 //!    (logical dispatch distance + real seconds), and run
-//!    [`btr_scan::BlockPipeline::process`] — cache lookup, gated fetch +
-//!    decode, predicate, gather — with panics contained per row group.
+//!    [`BlockPipeline::process_contained`] — cache lookup, gated fetch +
+//!    decode, filter, gather — with panics contained per row group.
 //! 3. The consumer drains results in row order; each emitted group releases
-//!    its admission accounting and enqueues the next group, keeping at most
-//!    `window` tasks outstanding per scan.
+//!    its admission accounting and refills the scan's look-ahead up to the
+//!    ladder's current window: `options.window` while the source is
+//!    healthy, half of it while its breaker is half-open, 1 while it is
+//!    open.
 //! 4. Finishing (drain, error, cancel, or drop) purges the scan's queued
 //!    tasks, returns its admission budget, releases block interest, and
 //!    folds its pipeline counters into the tenant's metrics exactly once.
+//!
+//! [`ScanClient::aggregate`] is the other entry point: it folds a spec's
+//! aggregates on the caller's thread, row group by row group in block order,
+//! through the same registered source, cache and decode gate.
 //!
 //! # Lock ordering
 //!
@@ -34,19 +42,17 @@
 //! `progress` mutex.
 
 use crate::coalesce::CoalescingSource;
-use crate::metrics::{percentile, snapshot, Metrics, ServiceReport};
+use crate::metrics::{percentile, snapshot, AggReport, Metrics, ScanReport, ServiceReport};
 use crate::sched::{Scheduler, Task};
 use crate::ServiceOptions;
 use btr_scan::batch::{append, empty_like, split_front};
 use btr_scan::{
-    plan_scan, BlockCache, BlockPipeline, BlockResult, BlockSource, DecodeGate, FetchCtl,
-    PipelineCounters, PipelineFilter, PipelineParams, RecordBatch, Result, RowGroup, ScanError,
-    ScanSpec,
+    plan_scan, AggSourceCounts, AggState, BlockCache, BlockPipeline, BlockResult, BlockSource, DecodeGate,
+    FetchCtl, FetchStats, PipelineCounters, PipelineFilter, PipelineParams, RecordBatch, Result,
+    RowGroup, ScanError, ScanPlan, ScanSpec,
 };
-use btr_s3sim::{Deadline, RetryBudget};
-use btrblocks::{ColumnData, DecodeScratch, Sidecar};
+use btrblocks::{BlockZone, ColumnData, DecodeScratch, Sidecar};
 use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use btr_sync::{CachePadded, OrderedCondvar, OrderedMutex, Rank};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -194,16 +200,6 @@ struct Inner {
     metrics: OrderedMutex<Metrics>,
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Tasks one worker drains per scheduler-lock acquisition. Small enough that
 /// a point query queued behind another worker's batch still dispatches
 /// within a few task executions; large enough to amortize the scheduler and
@@ -256,17 +252,9 @@ fn worker_loop(inner: &Inner) {
                 scan.release_interest(task.group.block);
                 continue;
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                scan.pipeline.process(task.group, &mut scratch)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(ScanError::Worker(format!(
-                    "row group {} (block {}): {}",
-                    task.group_idx,
-                    task.group.block,
-                    panic_text(payload.as_ref())
-                )))
-            });
+            let result = scan
+                .pipeline
+                .process_contained(task.group_idx, task.group, &mut scratch);
             scan.release_interest(task.group.block);
             {
                 let mut p = scan.progress.lock();
@@ -310,22 +298,50 @@ impl Inner {
         m.tenants.entry(tenant.clone()).or_default().scans_rejected += 1;
     }
 
+    /// The registered source and sidecar behind `relation`.
+    fn lookup(&self, relation: &str) -> Result<(Arc<CoalescingSource>, Arc<Sidecar>)> {
+        let rels = self.relations.lock();
+        let reg = rels
+            .get(relation)
+            .ok_or_else(|| ScanError::MissingObject(relation.to_string()))?;
+        Ok((reg.source.clone(), reg.sidecar.clone()))
+    }
+
+    /// A pipeline over the service's shared cache and decode gate for one
+    /// planned scan. The deadline starts now, on the source's simulated
+    /// clock; the tenant tag flows through every fetch into per-tenant GET
+    /// stats.
+    fn pipeline(
+        &self,
+        tenant: &Arc<str>,
+        source: &Arc<dyn BlockSource>,
+        plan: &ScanPlan,
+        spec: &ScanSpec,
+        projection: Vec<usize>,
+    ) -> BlockPipeline {
+        BlockPipeline::new(PipelineParams {
+            source: source.clone(),
+            cache: self.cache.clone(),
+            config: self.options.config.clone(),
+            projection,
+            column_types: source.columns().iter().map(|c| c.column_type).collect(),
+            filter: PipelineFilter::from_plan(plan),
+            ctl: FetchCtl::for_scan(source.as_ref(), &spec.tolerance, Some(tenant.clone())),
+            base_prefetch: self.options.window.max(1),
+            gate: Some(self.gate.clone()),
+        })
+    }
+
     fn submit(
         self: &Arc<Inner>,
         tenant: &Arc<str>,
         relation: &str,
         spec: &ScanSpec,
     ) -> Result<ScanHandle> {
-        let (source, sidecar) = {
-            let rels = self.relations.lock();
-            let reg = rels
-                .get(relation)
-                .ok_or_else(|| ScanError::MissingObject(relation.to_string()))?;
-            (reg.source.clone(), reg.sidecar.clone())
-        };
+        let (source, sidecar) = self.lookup(relation)?;
         let src: Arc<dyn BlockSource> = source.clone();
-        // The service streams projected batches; aggregate-only specs (legal
-        // for the engine's aggregate driver) have nothing to stream.
+        // The service streams projected batches; aggregate-only specs go
+        // through `ScanClient::aggregate` instead.
         if spec.projection.is_empty() {
             return Err(ScanError::EmptyProjection);
         }
@@ -367,8 +383,10 @@ impl Inner {
                     .sum()
             })
             .collect();
-        let window = self.options.window.max(1);
-        let initial = window.min(plan.row_groups.len());
+        let pipeline = self.pipeline(tenant, &src, &plan, spec, plan.projection.clone());
+        // The degradation ladder sizes the initial window: a source whose
+        // breaker is not closed gets a smaller look-ahead from the start.
+        let initial = pipeline.refresh_window().min(plan.row_groups.len());
         let initial_cost: u64 = costs.iter().take(initial).sum();
 
         // Admission: an idle service always admits (so a scan larger than
@@ -396,38 +414,19 @@ impl Inner {
             }
         }
 
-        // Deadlines run on the source's simulated clock, starting now; the
-        // tenant tag flows through every fetch into per-tenant GET stats.
-        let clock = src
-            .health()
-            .map(|h| h.clock().clone())
-            .unwrap_or_default();
-        let ctl = FetchCtl {
-            deadline: spec
-                .tolerance
-                .deadline_seconds
-                .map(|seconds| Deadline::after(&clock, seconds)),
-            budget: spec
-                .tolerance
-                .retry_budget
-                .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
-            tenant: Some(tenant.clone()),
+        let report_base = ReportBase {
+            blocks_total: plan.blocks_total as u64,
+            blocks_pruned: plan.blocks_pruned as u64,
+            rows_total: plan.rows_total,
+            // Snapshot before any task is runnable: workers may fetch before
+            // this function returns, and the report counts those bytes.
+            fetch: src.stats(),
+            started: Instant::now(),
         };
-        let pipeline = Arc::new(BlockPipeline::new(PipelineParams {
-            source: src.clone(),
-            cache: self.cache.clone(),
-            config: self.options.config.clone(),
-            projection: plan.projection.clone(),
-            column_types: columns.iter().map(|c| c.column_type).collect(),
-            filter: PipelineFilter::from_plan(&plan),
-            ctl,
-            base_prefetch: window,
-            gate: Some(self.gate.clone()),
-        }));
         let scan = Arc::new(ScanShared {
             id: self.scan_ids.fetch_add(1, Ordering::Relaxed), // ordering: id allocator; only uniqueness matters
             tenant: tenant.clone(),
-            pipeline,
+            pipeline: Arc::new(pipeline),
             source,
             groups: plan.row_groups,
             interest_cols,
@@ -479,8 +478,61 @@ impl Inner {
             batch_rows: self.options.batch_rows.max(1),
             rows_matched: 0,
             batches: 0,
+            report_base,
+            wall_seconds: None,
             failed: false,
             finished: false,
+        })
+    }
+
+    fn aggregate(&self, tenant: &Arc<str>, relation: &str, spec: &ScanSpec) -> Result<AggReport> {
+        if spec.aggregates.is_empty() {
+            return Err(ScanError::EmptyProjection);
+        }
+        let (source, sidecar) = self.lookup(relation)?;
+        let src: Arc<dyn BlockSource> = source;
+        let plan = plan_scan(src.as_ref(), &sidecar, spec)?;
+        let columns = src.columns();
+        let pipeline = self.pipeline(tenant, &src, &plan, spec, Vec::new());
+        let mut aggs = Vec::with_capacity(spec.aggregates.len());
+        for (agg, &c) in spec.aggregates.iter().zip(&plan.agg_columns) {
+            let ty = columns
+                .get(c)
+                .map(|col| col.column_type)
+                .ok_or_else(|| ScanError::UnknownColumn(agg.column.clone()))?;
+            aggs.push((c, AggState::new(agg.kind, ty)?));
+        }
+        let metas: Vec<_> = plan
+            .agg_columns
+            .iter()
+            .map(|&c| columns.get(c).and_then(|col| sidecar.column(&col.name)))
+            .collect();
+        // Groups fold sequentially in block order so double `SUM`s
+        // accumulate in one deterministic order (floating-point addition is
+        // not associative): the result is bit-identical to a naive
+        // decode-everything row loop.
+        let mut scratch = DecodeScratch::new();
+        let mut agg_sources = AggSourceCounts::default();
+        for (i, group) in plan.row_groups.iter().enumerate() {
+            let zones: Vec<Option<&BlockZone>> = metas
+                .iter()
+                .map(|m| m.and_then(|m| m.zones.get(group.block as usize)))
+                .collect();
+            agg_sources.add(pipeline.aggregate_group(
+                *group,
+                plan.group_fully_selected(i),
+                &mut aggs,
+                &zones,
+                &mut scratch,
+            )?);
+        }
+        Ok(AggReport {
+            values: aggs.into_iter().map(|(_, state)| state.value()).collect(),
+            blocks_total: plan.blocks_total as u64,
+            blocks_pruned: plan.blocks_pruned as u64,
+            rows_total: plan.rows_total,
+            agg_sources,
+            counters: pipeline.counters(),
         })
     }
 }
@@ -601,11 +653,21 @@ impl ScanService {
 
 impl Drop for ScanService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed); // ordering: shutdown flag; wait predicates re-read it
+        // Each flag is set under the mutex its waiters test it under: a
+        // waiter that read the old value is then already parked and gets the
+        // notify, instead of parking just after it (a lost wakeup that would
+        // hang the join below or a blocked consumer).
+        {
+            let _sched = self.inner.sched.lock();
+            self.inner.shutdown.store(true, Ordering::Relaxed); // ordering: shutdown flag; set under the sched lock workers wait on
+        }
         self.inner.task_ready.notify_all();
         for weak in self.inner.scans.lock().iter() {
             if let Some(scan) = weak.upgrade() {
-                scan.cancelled.store(true, Ordering::Relaxed); // ordering: cancel flag; consumers re-check under their lock
+                {
+                    let _progress = scan.progress.lock();
+                    scan.cancelled.store(true, Ordering::Relaxed); // ordering: cancel flag; set under the progress lock consumers wait on
+                }
                 scan.out_ready.notify_all();
             }
         }
@@ -631,6 +693,16 @@ impl ScanClient {
         self.inner.submit(&self.tenant, relation, spec)
     }
 
+    /// Computes `spec.aggregates` over `relation` on the calling thread,
+    /// answering each row group from the cheapest sufficient representation:
+    /// zone maps (no fetch), the compressed domain (no decode), or a
+    /// vectorized fold over decoded values — restricted to rows surviving
+    /// `spec`'s filter. Groups fold sequentially in block order, so double
+    /// `SUM`s are bit-identical to a naive decode-everything row loop.
+    pub fn aggregate(&self, relation: &str, spec: &ScanSpec) -> Result<AggReport> {
+        self.inner.aggregate(&self.tenant, relation, spec)
+    }
+
     /// This client's tenant name.
     pub fn tenant(&self) -> &str {
         &self.tenant
@@ -642,6 +714,16 @@ enum Outcome {
     Completed,
     Failed,
     Cancelled,
+}
+
+/// Plan-time counts and submit-time baselines behind [`ScanHandle::report`].
+struct ReportBase {
+    blocks_total: u64,
+    blocks_pruned: u64,
+    rows_total: u64,
+    /// Source counters at submit; the report carries deltas.
+    fetch: FetchStats,
+    started: Instant,
 }
 
 /// A running scan: an iterator of [`RecordBatch`]es in row order.
@@ -658,6 +740,9 @@ pub struct ScanHandle {
     batch_rows: usize,
     rows_matched: u64,
     batches: u64,
+    report_base: ReportBase,
+    /// Frozen when the scan finishes.
+    wall_seconds: Option<f64>,
     failed: bool,
     finished: bool,
 }
@@ -667,6 +752,10 @@ impl ScanHandle {
     /// admission accounting and refills the scan's look-ahead window.
     fn next_block(&mut self) -> Option<Result<BlockResult>> {
         let scan = self.scan.clone();
+        // Degradation ladder: the window is re-read on every emission, so a
+        // breaker opening mid-scan shrinks the look-ahead from the next
+        // refill on (and a recovered one widens it again).
+        let window = scan.pipeline.refresh_window();
         let mut p = scan.progress.lock();
         loop {
             p = scan.out_ready.wait_while(p, |p| {
@@ -680,17 +769,14 @@ impl ScanHandle {
             let emit = p.next_emit;
             if let Some(result) = p.ready.remove(&emit) {
                 p.next_emit += 1;
-                let refill = (p.enqueued < scan.groups.len()).then(|| {
-                    let next = p.enqueued;
-                    p.enqueued += 1;
-                    next
-                });
+                let refill = p.enqueued..(p.next_emit + window).min(scan.groups.len());
+                p.enqueued = p.enqueued.max(refill.end);
                 drop(p);
                 self.inner.outstanding_tasks.fetch_sub(1, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
                 self.inner
                     .outstanding_bytes
                     .fetch_sub(scan.cost_of(emit), Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-                if let Some(next) = refill {
+                for next in refill {
                     self.inner.enqueue_task(&scan, next, true);
                 }
                 return Some(result);
@@ -717,6 +803,7 @@ impl ScanHandle {
             return;
         }
         self.finished = true;
+        self.wall_seconds = Some(self.report_base.started.elapsed().as_secs_f64());
         let scan = &self.scan;
         scan.cancelled.store(true, Ordering::Relaxed); // ordering: cancel flag; workers re-check per task
         // Enqueued-but-never-emitted tasks give back their admission
@@ -776,6 +863,41 @@ impl ScanHandle {
     /// This scan's pipeline counters (cache hits, dedup hits, decodes...).
     pub fn counters(&self) -> PipelineCounters {
         self.scan.pipeline.counters()
+    }
+
+    /// Execution statistics so far; final once the iterator is exhausted.
+    /// Fetch-side fields are deltas of the registered source's counters
+    /// since submit, so they include concurrent scans of the same relation.
+    pub fn report(&self) -> ScanReport {
+        let base = &self.report_base;
+        let fetch = BlockSource::stats(self.scan.source.as_ref());
+        let c = self.scan.pipeline.counters();
+        ScanReport {
+            blocks_total: base.blocks_total,
+            blocks_pruned: base.blocks_pruned,
+            blocks_pushdown_fast_path: c.blocks_pushdown_fast_path,
+            blocks_decoded: c.blocks_decoded,
+            blocks_fetched: c.blocks_fetched,
+            cache_hits: c.cache_hits,
+            cache_misses: c.cache_misses,
+            dedup_hits: c.dedup_hits,
+            bytes_fetched: fetch.bytes_fetched - base.fetch.bytes_fetched,
+            fetch_requests: fetch.requests - base.fetch.requests,
+            fetch_retries: fetch.retries - base.fetch.retries,
+            rows_total: base.rows_total,
+            rows_matched: self.rows_matched,
+            batches: self.batches,
+            decode_seconds: c.decode_seconds,
+            wall_seconds: self
+                .wall_seconds
+                .unwrap_or_else(|| base.started.elapsed().as_secs_f64()),
+            fetch_backoff_seconds: fetch.backoff_seconds - base.fetch.backoff_seconds,
+            hedges_issued: fetch.hedges_issued - base.fetch.hedges_issued,
+            hedges_won: fetch.hedges_won - base.fetch.hedges_won,
+            breaker_transitions: fetch.breaker_transitions - base.fetch.breaker_transitions,
+            blocks_quarantined: fetch.blocks_quarantined - base.fetch.blocks_quarantined,
+            degradation_steps: c.degradation_steps,
+        }
     }
 }
 

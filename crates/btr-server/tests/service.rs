@@ -1,16 +1,14 @@
 //! Integration tests for the scan service: cross-scan GET dedup, ranged-GET
-//! coalescing, DRR fairness, typed admission control, and per-relation
-//! quarantine isolation.
+//! coalescing, DRR fairness, typed admission control, per-relation
+//! quarantine isolation, and the degradation ladder's window.
 
 use btr_corrupt::Mutation;
 use btr_s3sim::{ObjectStore, RetryPolicy};
-use btr_scan::batch::append;
-use btr_scan::chaos::build_relation;
-use btr_scan::engine::{EngineOptions, ScanEngine};
 use btr_scan::layout::RelationLayout;
-use btr_scan::{BlockSource, MemorySource, ObjectStoreSource, Predicate};
-use btr_server::{ScanError, ScanHandle, ScanService, ScanSpec, ServiceOptions};
-use btrblocks::{CmpOp, ColumnData, CompressedRelation, Config, Literal, Sidecar};
+use btr_scan::{col, lit, BlockSource, BreakerConfig, MemorySource, ObjectStoreSource};
+use btr_server::chaos::{build_relation, drain, reference_scans};
+use btr_server::{ScanError, ScanService, ScanSpec, ServiceOptions};
+use btrblocks::{ColumnData, CompressedRelation, Config, Sidecar};
 use std::sync::Arc;
 
 struct Fixture {
@@ -40,49 +38,12 @@ fn fixture(rows: usize, block_size: usize) -> Fixture {
     }
 }
 
-/// Drains a handle into per-column output, erasing batch boundaries so runs
-/// compare byte-for-byte regardless of batching.
-fn drain(handle: &mut ScanHandle) -> btr_server::Result<Vec<(String, ColumnData)>> {
-    let mut out: Option<Vec<(String, ColumnData)>> = None;
-    for batch in handle.by_ref() {
-        let batch = batch?;
-        match &mut out {
-            None => out = Some(batch.columns),
-            Some(columns) => {
-                for ((_, dst), (_, src)) in columns.iter_mut().zip(&batch.columns) {
-                    append(dst, src)?;
-                }
-            }
-        }
-    }
-    Ok(out.unwrap_or_default())
-}
-
-/// Fault-free reference for `spec`, via a plain engine over memory.
+/// Fault-free reference for `spec`: the same executor over memory.
 fn reference(fx: &Fixture, spec: &ScanSpec) -> Vec<(String, ColumnData)> {
-    let engine = ScanEngine::new(EngineOptions {
-        workers: 2,
-        prefetch: 4,
-        batch_rows: 1_024,
-        cache_bytes: 16 << 20,
-        config: fx.codec.clone(),
-    });
-    let source: Arc<dyn BlockSource> =
-        Arc::new(MemorySource::new("reference", fx.compressed.clone()));
-    let mut scan = engine.scan(source, &fx.sidecar, spec).expect("reference scan");
-    let mut out: Option<Vec<(String, ColumnData)>> = None;
-    for batch in scan.by_ref() {
-        let batch = batch.expect("reference batch");
-        match &mut out {
-            None => out = Some(batch.columns),
-            Some(columns) => {
-                for ((_, dst), (_, src)) in columns.iter_mut().zip(&batch.columns) {
-                    append(dst, src).expect("reference append");
-                }
-            }
-        }
-    }
-    out.unwrap_or_default()
+    let spec = std::slice::from_ref(spec);
+    let mut out = reference_scans(fx.compressed.clone(), &fx.sidecar, &fx.codec, spec)
+        .expect("reference scan");
+    out.pop().unwrap_or_default()
 }
 
 fn total_blocks(layout: &RelationLayout) -> u64 {
@@ -221,11 +182,7 @@ fn point_query_is_not_starved_behind_a_table_scan() {
 
     // A point query from a second tenant, pruned to one row group by the
     // zone maps, submitted while the heavy backlog is queued.
-    let point_spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-        column: "id".into(),
-        op: CmpOp::Lt,
-        literal: Literal::Int(500),
-    });
+    let point_spec = ScanSpec::project(["id"]).with_expr(col("id").lt(lit(500)));
     let mut point = service
         .client("point")
         .submit("rel", &point_spec)
@@ -480,4 +437,70 @@ fn dropping_a_handle_cancels_and_returns_its_budget() {
     assert_eq!(report.outstanding_tasks, 0);
     assert_eq!(report.outstanding_bytes, 0);
     assert_eq!(report.tenants[0].scans_cancelled, 1);
+}
+
+/// A 20-row-group scan over an object-store source with a breaker, after
+/// `failures` terminal fetch failures were recorded (threshold 1, so one
+/// failure opens it for a minute of simulated time). The scan is submitted
+/// and left undrained; returns the service's outstanding tasks and the
+/// scan's degradation steps.
+fn undrained_scan_over_breaker(failures: usize) -> (u64, u64) {
+    let fx = fixture(10_000, 500); // 20 row groups
+    let store = Arc::new(ObjectStore::new());
+    store.put("rel.btr", fx.bytes.clone());
+    let source = Arc::new(
+        ObjectStoreSource::new(store, "rel.btr", fx.layout.clone(), RetryPolicy::default())
+            .with_breaker(BreakerConfig {
+                failure_threshold: 1,
+                open_seconds: 60.0,
+            }),
+    );
+    let health = source.health().expect("object-store sources carry health");
+    let breaker = health.breaker().expect("breaker configured");
+    for _ in 0..failures {
+        breaker.record(health.clock(), false);
+    }
+    let service = ScanService::new(ServiceOptions {
+        workers: 1,
+        window: 8,
+        batch_rows: 1_024,
+        config: fx.codec.clone(),
+        ..ServiceOptions::default()
+    });
+    service.register("rel", source.clone(), fx.sidecar.clone());
+    let handle = service
+        .client("t")
+        .submit("rel", &ScanSpec::project(["id"]))
+        .expect("submit");
+    let outstanding = service.report().outstanding_tasks;
+    (outstanding, handle.counters().degradation_steps)
+}
+
+#[test]
+fn open_breaker_shrinks_the_scan_window_to_one() {
+    // Healthy source: the full 8-task window is outstanding while the
+    // consumer does not drain.
+    let (outstanding, steps) = undrained_scan_over_breaker(0);
+    assert_eq!(outstanding, 8);
+    assert_eq!(steps, 0);
+    // Breaker open: the degradation ladder's last rung admits one task.
+    let (outstanding, steps) = undrained_scan_over_breaker(1);
+    assert_eq!(outstanding, 1, "an open breaker must shrink the window to 1");
+    assert!(steps > 0, "the ladder move must be counted");
+}
+
+/// Dropping a service must always join its workers. Workers test the
+/// shutdown flag under the scheduler lock, so the drop must set it under
+/// that lock too, or a worker that has just tested it parks after the notify
+/// and the join never returns (a lost wakeup that shows up within 20,000
+/// create/drop cycles on a 2-core host). The test completing *is* the
+/// assertion.
+#[test]
+fn dropping_services_always_joins_their_workers() {
+    for _ in 0..20_000 {
+        drop(ScanService::new(ServiceOptions {
+            workers: 4,
+            ..ServiceOptions::default()
+        }));
+    }
 }

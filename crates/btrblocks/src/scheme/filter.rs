@@ -18,8 +18,7 @@
 //! compressed block and return the matching row positions as a Roaring
 //! bitmap, without materializing the decompressed column when a fast path
 //! applies. The expression engine (crate `btr-expr`) builds its leaf kernels
-//! on top of these entry points; `btrblocks::query` re-exports them for
-//! back-compat.
+//! on top of these entry points; the crate root re-exports them.
 
 use crate::config::Config;
 use crate::scheme::{self, SchemeCode};

@@ -7,8 +7,9 @@
 //! Run with: `cargo run --release --example compressed_filter`
 
 use btrblocks_repro::btrblocks::metadata::{pruned_filter, Sidecar};
-use btrblocks_repro::btrblocks::query::{filter_block, CmpOp, Literal};
-use btrblocks_repro::btrblocks::{self, Column, ColumnData, Config, Relation};
+use btrblocks_repro::btrblocks::{
+    self, filter_block, CmpOp, Column, ColumnData, Config, Literal, Relation,
+};
 use std::time::Instant;
 
 fn main() {

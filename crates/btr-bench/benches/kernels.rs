@@ -142,13 +142,10 @@ fn pseudodecimal() {
         black_box(ok);
     });
     let cfg = btrblocks::Config::default();
-    let mut block = Vec::new();
-    btrblocks::scheme::compress_double_with(
+    let block = btrblocks::block::compress_block_with(
         btrblocks::SchemeCode::Pseudodecimal,
-        &prices,
-        3,
+        btrblocks::BlockRef::Double(&prices),
         &cfg,
-        &mut block,
     );
     let scalar_cfg = btrblocks::Config {
         simd: SimdMode::ForceScalar,
@@ -159,8 +156,8 @@ fn pseudodecimal() {
         ("pseudodecimal_decode_scalar", &scalar_cfg),
     ] {
         bench(name, Some(N * 8), || {
-            let mut r = btrblocks::writer::Reader::new(black_box(&block));
-            black_box(btrblocks::scheme::decompress_double(&mut r, cfg).unwrap());
+            let ty = btrblocks::ColumnType::Double;
+            black_box(btrblocks::decompress_block(black_box(&block), ty, cfg).unwrap());
         });
     }
 }

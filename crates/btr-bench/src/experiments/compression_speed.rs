@@ -289,16 +289,15 @@ fn encode_all(
     bytes
 }
 
-/// Encodes every column through the allocate-fresh legacy API.
+/// Encodes every column allocating fresh: a new scratch arena and an empty
+/// shell per column.
 fn encode_fresh(rel: &Relation, cfg: &Config) -> usize {
     rel.columns
         .iter()
         .map(|col| {
-            btrblocks::compress_column(col, cfg)
-                .blocks
-                .iter()
-                .map(|b| b.len())
-                .sum::<usize>()
+            let mut out = CompressedColumn::empty(col.data.column_type());
+            compress_column_into(col, cfg, &mut EncodeScratch::new(), &mut out);
+            out.blocks.iter().map(|b| b.len()).sum::<usize>()
         })
         .sum()
 }

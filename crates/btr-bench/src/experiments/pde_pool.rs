@@ -4,7 +4,7 @@
 
 use crate::Table;
 use btr_datagen::pbi;
-use btrblocks::scheme::compress_double_with;
+use btrblocks::block::{compress_block_with, BlockRef};
 use btrblocks::{ColumnData, Config, SchemeCode};
 
 /// "Non-cascading FastBP128" on doubles: bit-pack the raw IEEE 754 words by
@@ -28,10 +28,12 @@ fn fixed_cascade_size(root: SchemeCode, values: &[f64]) -> usize {
     // the paper's strictly two-level cascade. Without this, RLE's double
     // value array would recursively RLE itself, which the paper's setup
     // cannot do.
-    let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
-    let mut out = Vec::new();
-    compress_double_with(root, values, 2, &cfg, &mut out);
-    out.len()
+    let cfg = Config {
+        max_cascade_depth: 2,
+        ..Config::default()
+    }
+    .with_pool(&[SchemeCode::FastBp128]);
+    compress_block_with(root, BlockRef::Double(values), &cfg).len()
 }
 
 /// Regenerates the §6.5 inline comparison table.

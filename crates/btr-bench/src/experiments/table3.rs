@@ -8,15 +8,17 @@
 use crate::Table;
 use btr_datagen::pbi;
 use btr_float::FloatCodec;
-use btrblocks::scheme::compress_double_with;
+use btrblocks::block::{compress_block_with, BlockRef};
 use btrblocks::{ColumnData, Config, SchemeCode};
 
 /// Compressed size of the PDE→FastBP128 fixed cascade.
 pub fn pde_fastbp_size(values: &[f64]) -> usize {
-    let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
-    let mut out = Vec::new();
-    compress_double_with(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut out);
-    out.len()
+    let cfg = Config {
+        max_cascade_depth: 2,
+        ..Config::default()
+    }
+    .with_pool(&[SchemeCode::FastBp128]);
+    compress_block_with(SchemeCode::Pseudodecimal, BlockRef::Double(values), &cfg).len()
 }
 
 /// Regenerates Table 3.

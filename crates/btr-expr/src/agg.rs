@@ -27,9 +27,9 @@
 
 use crate::plan::ExprError;
 use crate::selection::Selection;
-use btrblocks::scheme::{self, SchemeCode};
+use btrblocks::scheme::{self, double, int, SchemeCode};
 use btrblocks::writer::Reader;
-use btrblocks::{BlockZone, ColumnType, Config, DecodedColumn, Error};
+use btrblocks::{BlockZone, ColumnType, Config, DecodeScratch, DecodedColumn, Error};
 
 /// Which aggregate to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,62 +184,48 @@ impl AggState {
     }
 
     /// Tries to fold a whole block in the compressed domain (OneValue and
-    /// RLE frames). Returns `Ok(false)` when the scheme doesn't support it
-    /// (⇒ decode and use [`AggState::fold_decoded`]); corrupt frames are
-    /// typed errors.
+    /// RLE frames of numeric columns). Returns `Ok(false)` when the scheme
+    /// doesn't support it (⇒ decode and use [`AggState::fold_decoded`]). The
+    /// payload is read through the scheme modules' validated readers,
+    /// leasing temporaries from `scratch`, so a frame the decoder rejects
+    /// (bad counts, truncation, trailing bytes) is a typed error here too.
     pub fn fold_compressed(
         &mut self,
         bytes: &[u8],
         ty: ColumnType,
         cfg: &Config,
+        scratch: &mut DecodeScratch,
     ) -> btrblocks::Result<bool> {
         let mut r = Reader::new(bytes);
-        let code = SchemeCode::from_u8(r.u8()?)?;
-        let count = r.u32()? as usize;
-        if let Acc::Count(c) = &mut self.acc {
-            // The row count sits in every frame header.
-            *c += count as u64;
-            return Ok(true);
-        }
-        if count == 0 {
-            return Ok(true);
-        }
+        let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
         match (code, ty) {
             (SchemeCode::OneValue, ColumnType::Integer) => {
-                let v = r.i32()?;
-                self.fold_int_run(v, count);
-                Ok(true)
+                self.fold_int_run(int::onevalue::read(&mut r)?, count);
             }
             (SchemeCode::OneValue, ColumnType::Double) => {
-                let v = r.f64()?;
-                self.fold_double_run(v, count);
-                Ok(true)
+                self.fold_double_run(double::onevalue::read(&mut r)?, count);
             }
             (SchemeCode::Rle, ColumnType::Integer) => {
-                let _run_count = r.u32()?;
-                let values = scheme::decompress_int(&mut r, cfg)?;
-                let lengths = scheme::decompress_int(&mut r, cfg)?;
-                for (&v, &l) in values.iter().zip(&lengths) {
-                    let len = usize::try_from(l)
-                        .map_err(|_| Error::Corrupt("negative RLE run length"))?;
-                    self.fold_int_run(v, len);
-                }
-                Ok(true)
+                int::rle::read_runs(&mut r, count, cfg, scratch, |values, lengths| {
+                    for (&v, &len) in values.iter().zip(lengths) {
+                        self.fold_int_run(v, len as usize);
+                    }
+                })?;
             }
             (SchemeCode::Rle, ColumnType::Double) => {
-                let _run_count = r.u32()?;
-                let values = scheme::decompress_double(&mut r, cfg)?;
-                let lengths = scheme::decompress_int(&mut r, cfg)?;
-                for (&v, &l) in values.iter().zip(&lengths) {
-                    let len = usize::try_from(l)
-                        .map_err(|_| Error::Corrupt("negative RLE run length"))?;
-                    self.fold_double_run(v, len);
-                }
-                Ok(true)
+                double::rle::read_runs(&mut r, count, cfg, scratch, |values, lengths| {
+                    for (&v, &len) in values.iter().zip(lengths) {
+                        self.fold_double_run(v, len as usize);
+                    }
+                })?;
             }
             // Strings and every other scheme: decode.
-            _ => Ok(false),
+            _ => return Ok(false),
         }
+        if !r.rest().is_empty() {
+            return Err(Error::Corrupt("trailing bytes after block"));
+        }
+        Ok(true)
     }
 
     fn fold_int_run(&mut self, v: i32, len: usize) {
@@ -247,6 +233,7 @@ impl AggState {
             return;
         }
         match &mut self.acc {
+            Acc::Count(c) => *c += len as u64,
             Acc::SumInt(s) => {
                 // Integer arithmetic is exact: a run folds as one wrapping
                 // multiply-add, identical to `len` repeated additions.
@@ -264,6 +251,7 @@ impl AggState {
             return;
         }
         match &mut self.acc {
+            Acc::Count(c) => *c += len as u64,
             Acc::SumDouble(s) => {
                 // NOT `v * len`: IEEE 754 addition and multiplication round
                 // differently, and the contract is bitwise identity with the
@@ -418,6 +406,7 @@ mod tests {
     #[test]
     fn compressed_domain_matches_decoded_reference() {
         let cfg = Config::default();
+        let mut scratch = DecodeScratch::new();
         // A double whose repeated addition differs from multiplication, so
         // the exactness contract is actually exercised.
         let v = 0.1f64;
@@ -427,7 +416,7 @@ mod tests {
             compress_block_with(SchemeCode::OneValue, BlockRef::Double(&values), &cfg)
         };
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Double).unwrap();
-        assert!(sum.fold_compressed(&bytes, ColumnType::Double, &cfg).unwrap());
+        assert!(sum.fold_compressed(&bytes, ColumnType::Double, &cfg, &mut scratch).unwrap());
         let mut reference = 0.0f64;
         for _ in 0..count {
             reference += v;
@@ -439,14 +428,14 @@ mod tests {
         let values: Vec<i32> = (0..2_000).map(|i| (i / 250) * 10).collect();
         let bytes = compress_block_with(SchemeCode::Rle, BlockRef::Int(&values), &cfg);
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Integer).unwrap();
-        assert!(sum.fold_compressed(&bytes, ColumnType::Integer, &cfg).unwrap());
+        assert!(sum.fold_compressed(&bytes, ColumnType::Integer, &cfg, &mut scratch).unwrap());
         let expected: i64 = values.iter().map(|&x| i64::from(x)).sum();
         assert_eq!(sum.value(), AggValue::SumInt(expected));
 
         // Bit-packed blocks have no compressed-domain path.
         let bytes = compress_block_with(SchemeCode::FastBp128, BlockRef::Int(&values), &cfg);
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Integer).unwrap();
-        assert!(!sum.fold_compressed(&bytes, ColumnType::Integer, &cfg).unwrap());
+        assert!(!sum.fold_compressed(&bytes, ColumnType::Integer, &cfg, &mut scratch).unwrap());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::plan::{ArithOp, BoundExpr, ExprError, ValueType};
 use crate::selection::Selection;
 use btrblocks::{
     filter_block, filter_decoded, has_fast_path, peek_scheme, CmpOp, ColumnType, Config,
-    DecodedColumn, Literal, StringViews,
+    DecodeScratch, DecodedColumn, Literal, StringViews,
 };
 use btr_roaring::RoaringBitmap;
 
@@ -38,6 +38,8 @@ pub enum LeafInput<'a> {
         ty: ColumnType,
         /// Decode configuration.
         config: &'a Config,
+        /// Arena the fast path leases its temporaries from.
+        scratch: &'a mut DecodeScratch,
     },
 }
 
@@ -69,10 +71,10 @@ pub fn filter_leaf(
             rows: filter_decoded(col, op, literal)?,
             compressed_domain: false,
         }),
-        LeafInput::Compressed { bytes, ty, config } => {
+        LeafInput::Compressed { bytes, ty, config, scratch } => {
             if has_fast_path(ty, peek_scheme(bytes)?) {
                 Ok(LeafVerdict::Selected {
-                    rows: filter_block(bytes, ty, op, literal, config)?,
+                    rows: filter_block(bytes, ty, op, literal, config, scratch)?,
                     compressed_domain: true,
                 })
             } else {
@@ -387,6 +389,7 @@ mod tests {
     #[test]
     fn filter_leaf_ladder() {
         let cfg = Config::default();
+        let mut scratch = DecodeScratch::new();
         let values = vec![7i32; 500];
         // Fast-path scheme: evaluated in the compressed domain.
         let bytes = compress_block_with(SchemeCode::OneValue, BlockRef::Int(&values), &cfg);
@@ -395,6 +398,7 @@ mod tests {
                 bytes: &bytes,
                 ty: ColumnType::Integer,
                 config: &cfg,
+                scratch: &mut scratch,
             },
             CmpOp::Eq,
             &Literal::Int(7),
@@ -415,6 +419,7 @@ mod tests {
                 bytes: &bytes,
                 ty: ColumnType::Integer,
                 config: &cfg,
+                scratch: &mut scratch,
             },
             CmpOp::Eq,
             &Literal::Int(7),

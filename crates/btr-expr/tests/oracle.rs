@@ -18,6 +18,7 @@ use btr_expr::{
     col, eval_predicate, filter_leaf, lit, AggKind, AggState, AggValue, ConjunctKind, Expr,
     ExprPlan, LeafInput, LeafVerdict, Selection, ZoneVerdict,
 };
+use btrblocks::block::{compress_block_with, decompress_block, peek_count, BlockRef};
 use btrblocks::{
     decompress_block_into, CmpOp, Column, ColumnData, ColumnType, Config, DecodeScratch,
     DecodedColumn, Literal, Relation, SchemeCode, Sidecar, StringArena,
@@ -332,6 +333,7 @@ fn kernel_eval(
                             bytes,
                             ty: types[*column],
                             config: cfg,
+                            scratch: &mut *scratch,
                         },
                         *op,
                         literal,
@@ -526,7 +528,7 @@ fn aggregate_ladder_matches_naive_fold() {
                 let answered = (rung == 0 && state.fold_zone(&meta.zones[g], n))
                     || (rung <= 1
                         && state
-                            .fold_compressed(bytes, types[column], &cfg)
+                            .fold_compressed(bytes, types[column], &cfg, &mut scratch)
                             .expect("compressed fold"));
                 if !answered {
                     let decoded = decode(bytes, types[column], &cfg, &mut scratch);
@@ -568,6 +570,69 @@ fn aggregate_ladder_matches_naive_fold() {
                 names[column],
                 sel_state.value()
             );
+        }
+    }
+}
+
+/// The compressed-domain fold reads frames through the same validated
+/// readers as the decoder. For every fast-path numeric `(type, scheme)`
+/// block, with the row count relabelled, every truncation, and 1–3 trailing
+/// bytes appended: on the schemes it folds (OneValue, RLE) `fold_compressed`
+/// fails whenever `decompress_block` does and otherwise equals the decoded
+/// fold; on the others it declines (`Ok(false)`) or fails, never answering.
+#[test]
+fn damaged_fast_path_frames_fold_like_decode() {
+    let cfg = Config::default();
+    let mut scratch = DecodeScratch::new();
+    let runs: Vec<i32> = (0..3000).map(|i| i / 100).collect();
+    let skewed: Vec<i32> = (0..3000).map(|i| if i % 37 == 0 { i / 37 } else { 5 }).collect();
+    let mut blocks = Vec::new();
+    for code in [SchemeCode::OneValue, SchemeCode::Rle, SchemeCode::Dict, SchemeCode::Frequency] {
+        let ints = match code {
+            SchemeCode::OneValue => vec![7; 3000],
+            SchemeCode::Frequency => skewed.clone(),
+            _ => runs.clone(),
+        };
+        let doubles: Vec<f64> = ints.iter().map(|&v| f64::from(v) * 0.1).collect();
+        let int_block = compress_block_with(code, BlockRef::Int(&ints), &cfg);
+        let double_block = compress_block_with(code, BlockRef::Double(&doubles), &cfg);
+        blocks.push((code, ColumnType::Integer, int_block));
+        blocks.push((code, ColumnType::Double, double_block));
+    }
+    for (code, ty, bytes) in &blocks {
+        let count = peek_count(bytes).expect("frame header") as u32;
+        let mut damaged = Vec::new();
+        for relabel in [0, 1, 10, count - 1, count + 1, count * 2, u32::MAX] {
+            let mut b = bytes.clone();
+            b[1..5].copy_from_slice(&relabel.to_le_bytes());
+            damaged.push(b);
+        }
+        damaged.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+        for extra in 1..=3 {
+            damaged.push([bytes.as_slice(), &vec![0u8; extra]].concat());
+        }
+        let folds = matches!(code, SchemeCode::OneValue | SchemeCode::Rle);
+        for (i, frame) in damaged.iter().enumerate() {
+            let decoded = decompress_block(frame, *ty, &cfg);
+            for kind in [AggKind::Count, AggKind::Sum, AggKind::Min, AggKind::Max] {
+                let ctx = format!("{ty:?} {code:?} damage #{i} {kind:?}");
+                let mut state = AggState::new(kind, *ty).expect("numeric aggregate");
+                let folded = state.fold_compressed(frame, *ty, &cfg, &mut scratch);
+                match &decoded {
+                    Err(_) if folds => assert!(folded.is_err(), "{ctx}: fold gave {folded:?}"),
+                    Err(_) => assert!(!matches!(folded, Ok(true)), "{ctx}: fold answered"),
+                    Ok(col) => {
+                        let answered =
+                            folded.unwrap_or_else(|e| panic!("{ctx}: fold failed: {e:?}"));
+                        assert_eq!(answered, folds, "{ctx}");
+                        let mut want = AggState::new(kind, *ty).expect("numeric aggregate");
+                        want.fold_decoded(col, None).expect("decoded fold");
+                        if answered {
+                            assert!(agg_eq(&state.value(), &want.value()), "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

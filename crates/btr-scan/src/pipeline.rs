@@ -493,6 +493,7 @@ impl BlockPipeline {
             bytes: &bytes,
             ty,
             config: &self.config,
+            scratch,
         };
         match filter_leaf(input, op, literal)? {
             LeafVerdict::Selected { rows, .. } => {
@@ -658,8 +659,8 @@ impl BlockPipeline {
     ///
     /// 1. zone maps (`fully_selected` groups only — a residual selection
     ///    invalidates block-level statistics),
-    /// 2. the compressed domain (one-value / RLE frames, `COUNT` from any
-    ///    frame header),
+    /// 2. the compressed domain (one-value / RLE frames of numeric columns,
+    ///    read through the schemes' validated readers),
     /// 3. a vectorized fold over decoded values, restricted to the selected
     ///    rows when the filter left a residue.
     ///
@@ -713,7 +714,7 @@ impl BlockPipeline {
                     // lint: allow(indexing) aggregate indices were resolved against columns at plan time
                     let ty = self.column_types[*idx];
                     let answered = match ctx.bytes.get(idx) {
-                        Some(bytes) => state.fold_compressed(bytes, ty, &self.config)?,
+                        Some(bytes) => state.fold_compressed(bytes, ty, &self.config, scratch)?,
                         None => false,
                     };
                     if answered {

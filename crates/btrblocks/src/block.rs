@@ -1,5 +1,9 @@
 //! Block-level compress/decompress entry points.
 //!
+//! The `*_into` forms thread caller-owned scratch arenas and output buffers;
+//! [`compress_block`], [`compress_block_with`] and [`decompress_block`] are
+//! the only allocate-fresh conveniences below relation level.
+//!
 //! A *block* is the unit of scheme selection: up to `Config::block_size`
 //! values of one column. Block bytes are fully self-contained (scheme frame +
 //! payload, recursively), so blocks can be fetched and decoded independently
@@ -78,9 +82,11 @@ pub fn compress_block_into(
 ) -> SchemeCode {
     out.clear();
     match data {
-        BlockRef::Int(v) => scheme::compress_int_into(v, cfg.max_cascade_depth, cfg, scratch, out),
+        BlockRef::Int(v) => {
+            scheme::compress_int_into(v, cfg.max_cascade_depth, cfg, scratch, out, None)
+        }
         BlockRef::Double(v) => {
-            scheme::compress_double_into(v, cfg.max_cascade_depth, cfg, scratch, out)
+            scheme::compress_double_into(v, cfg.max_cascade_depth, cfg, scratch, out, None)
         }
         BlockRef::Str(a) => scheme::compress_str_into(a, cfg.max_cascade_depth, cfg, scratch, out),
     }

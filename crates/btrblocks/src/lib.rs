@@ -61,9 +61,8 @@ pub use parallel::{
     encode_items, DecodeItem, EncodeItem, ParallelStats,
 };
 pub use relation::{
-    compress, compress_column, compress_column_into, compress_column_with_scratch, decompress,
-    decompress_column_with_scratch, BlockRange, Column, CompressedColumn, CompressedRelation,
-    Relation,
+    compress, compress_column, compress_column_into, decompress, BlockRange, Column,
+    CompressedColumn, CompressedRelation, Relation,
 };
 pub use scheme::filter::{filter_block, filter_decoded, has_fast_path};
 pub use scheme::SchemeCode;

@@ -10,6 +10,7 @@
 
 use crate::types::{CmpOp, Literal};
 use crate::relation::CompressedRelation;
+use crate::scratch::DecodeScratch;
 use crate::types::{ColumnData, ColumnType};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -247,11 +248,10 @@ pub fn pruned_filter(
     literal: &Literal,
     cfg: &crate::config::Config,
 ) -> Result<(btr_roaring::RoaringBitmap, usize)> {
-    let (ci, col) = compressed
+    let col = compressed
         .columns
         .iter()
-        .enumerate()
-        .find(|(_, c)| c.name == column)
+        .find(|c| c.name == column)
         .ok_or(Error::Corrupt("unknown column"))?;
     let meta = sidecar
         .column(column)
@@ -259,19 +259,29 @@ pub fn pruned_filter(
     if meta.zones.len() != col.blocks.len() {
         return Err(Error::Corrupt("sidecar block count mismatch"));
     }
-    let _ = ci;
+    let mut scratch = DecodeScratch::new();
     let mut out = btr_roaring::RoaringBitmap::new();
     let mut decoded = 0usize;
     let mut base = 0u32;
-    for ((block, zone), rows) in col.blocks.iter().zip(&meta.zones).zip(&meta.block_rows) {
+    for ((block, zone), &rows) in col.blocks.iter().zip(&meta.zones).zip(&meta.block_rows) {
+        // Each block's rows must land in its own sidecar range: a block
+        // whose frame disagrees with the sidecar would spill into the next
+        // block's positions.
+        if crate::block::peek_count(block)? != rows as usize {
+            return Err(Error::Corrupt("sidecar row count disagrees with block"));
+        }
+        let end = base
+            .checked_add(rows)
+            .ok_or(Error::Corrupt("sidecar row counts overflow"))?;
         if zone.may_match(op, literal) {
             decoded += 1;
-            let matches = crate::filter_block(block, col.column_type, op, literal, cfg)?;
+            let matches =
+                crate::filter_block(block, col.column_type, op, literal, cfg, &mut scratch)?;
             for m in matches.iter() {
                 out.insert(base + m);
             }
         }
-        base += rows;
+        base = end;
     }
     Ok((out, decoded))
 }

@@ -203,6 +203,18 @@ pub struct CompressedColumn {
 }
 
 impl CompressedColumn {
+    /// An empty shell of type `column_type`, to be filled by
+    /// [`compress_column_into`].
+    pub fn empty(column_type: ColumnType) -> CompressedColumn {
+        CompressedColumn {
+            name: String::new(),
+            column_type,
+            nulls: Vec::new(),
+            blocks: Vec::new(),
+            schemes: Vec::new(),
+        }
+    }
+
     /// Compressed size in bytes (blocks + per-part checksums + null bitmap
     /// + framing), matching the v2 on-disk layout.
     pub fn compressed_size(&self) -> usize {
@@ -474,7 +486,9 @@ pub fn compress(rel: &Relation, cfg: &Config) -> Result<CompressedRelation> {
     let mut scratch = EncodeScratch::new();
     let mut columns = Vec::with_capacity(rel.columns.len());
     for col in &rel.columns {
-        columns.push(compress_column_with_scratch(col, cfg, &mut scratch));
+        let mut out = CompressedColumn::empty(col.data.column_type());
+        compress_column_into(col, cfg, &mut scratch, &mut out);
+        columns.push(out);
     }
     Ok(CompressedRelation {
         rows: rel.rows() as u64,
@@ -482,33 +496,18 @@ pub fn compress(rel: &Relation, cfg: &Config) -> Result<CompressedRelation> {
     })
 }
 
-/// Compresses a single column.
+/// Compresses a single column with a fresh scratch arena (the reference the
+/// warm-encode allocation test compares its reused shells against).
 pub fn compress_column(col: &Column, cfg: &Config) -> CompressedColumn {
-    let mut scratch = EncodeScratch::new();
-    compress_column_with_scratch(col, cfg, &mut scratch)
-}
-
-/// [`compress_column`] with a caller-provided scratch arena: every encode
-/// temporary (sample gathers, candidate trial buffers, scheme side-arrays,
-/// cascade recursion) is leased from `scratch` instead of allocated fresh.
-pub fn compress_column_with_scratch(
-    col: &Column,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-) -> CompressedColumn {
-    let mut out = CompressedColumn {
-        name: String::new(),
-        column_type: col.data.column_type(),
-        nulls: Vec::new(),
-        blocks: Vec::new(),
-        schemes: Vec::new(),
-    };
-    compress_column_into(col, cfg, scratch, &mut out);
+    let mut out = CompressedColumn::empty(col.data.column_type());
+    compress_column_into(col, cfg, &mut EncodeScratch::new(), &mut out);
     out
 }
 
 /// Compresses `col` into an existing [`CompressedColumn`] shell, reusing its
-/// name/nulls/blocks/schemes buffers in place.
+/// name/nulls/blocks/schemes buffers in place and leasing every encode
+/// temporary (sample gathers, candidate trial buffers, scheme side-arrays,
+/// cascade recursion) from `scratch`.
 ///
 /// With a warm `scratch` *and* a warm `out` (both already used for a column
 /// of similar shape), recompressing an integer or double column performs
@@ -605,21 +604,16 @@ pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Res
     let mut scratch = DecodeScratch::new();
     let mut columns = Vec::with_capacity(compressed.columns.len());
     for col in &compressed.columns {
-        columns.push(decompress_column_with_scratch(col, cfg, &mut scratch)?);
+        columns.push(decompress_column(col, cfg, &mut scratch)?);
     }
     Ok(Relation { columns })
 }
 
-/// Decompresses a single column (all blocks, concatenated).
-pub fn decompress_column(col: &CompressedColumn, cfg: &Config) -> Result<Column> {
-    let mut scratch = DecodeScratch::new();
-    decompress_column_with_scratch(col, cfg, &mut scratch)
-}
-
-/// [`decompress_column`] with a caller-provided scratch arena: one leased
-/// block buffer is reused across all of the column's blocks and returned to
-/// the pool at the end, so a warm pool makes per-block decode allocation-free.
-pub fn decompress_column_with_scratch(
+/// Decompresses a single column (all blocks, concatenated) with a
+/// caller-provided scratch arena: one leased block buffer is reused across
+/// all of the column's blocks and returned to the pool at the end, so a warm
+/// pool makes per-block decode allocation-free.
+fn decompress_column(
     col: &CompressedColumn,
     cfg: &Config,
     scratch: &mut DecodeScratch,

@@ -4,24 +4,17 @@
 //! Decompression uses the 4-wide AVX2 gather kernel.
 
 use crate::config::Config;
-use crate::scheme;
+use crate::scheme::int::dict::read_codes_into;
+use crate::scheme::{self, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
-use crate::{Error, Result};
+use crate::Result;
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary, codes)` in first-occurrence order, keyed by bits.
-pub fn encode_dict(values: &[f64]) -> (Vec<f64>, Vec<i32>) {
-    let mut map = FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
-    let mut dict = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (all cleared first), so the
-/// encode path can lease the map and both arrays instead of allocating.
+/// Builds `(dictionary, codes)` in first-occurrence order, keyed by bits,
+/// into caller-owned buffers (all cleared first), so the encode path can
+/// lease the map and both arrays instead of allocating.
 pub fn encode_dict_into(
     values: &[f64],
     map: &mut FxHashMap<u64, usize>,
@@ -58,28 +51,36 @@ pub fn compress(
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     out.put_f64_slice(&dict);
-    scheme::compress_int_excluding_into(
-        &codes,
-        child_depth,
-        cfg,
-        scratch,
-        out,
-        Some(crate::scheme::SchemeCode::Dict),
-    );
+    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     scratch.release_f64(dict);
     scratch.release_i32(codes);
 }
 
-/// Decompresses a dictionary block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
+/// Reads a dictionary payload of `count` doubles and hands the dictionary
+/// and the validated code sequence to `f` (see
+/// [`crate::scheme::int::dict::read`] for the contract). The one parser of
+/// the double dictionary layout.
+pub(crate) fn read<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    f: impl FnOnce(&[f64], &[u32]) -> T,
+) -> Result<T> {
+    let dict_len = r.u32()? as usize;
+    let mut dict = scratch.lease_f64(dict_len.min(cfg.max_block_values));
+    let mut codes = scratch.lease_u32(count);
+    let result = r
+        .f64_vec_into(dict_len, &mut dict)
+        .and_then(|()| read_codes_into(r, count, dict_len, cfg, scratch, &mut codes))
+        .map(|()| f(&dict, &codes));
+    scratch.release_f64(dict);
+    scratch.release_u32(codes);
+    result
 }
 
-/// Decompresses a dictionary block of `count` doubles into `out`, leasing
-/// the dictionary and code buffers from `scratch`.
+/// Decompresses a dictionary block of `count` doubles into `out` with the
+/// 4-wide AVX2 gather kernel.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -87,47 +88,19 @@ pub fn decompress_into(
     scratch: &mut DecodeScratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    let dict_len = r.u32()? as usize;
-    let mut dict = scratch.lease_f64(dict_len.min(cfg.max_block_values));
-    let mut codes = scratch.lease_i32(count);
-    let mut codes_u32 = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        r.f64_vec_into(dict_len, &mut dict)?;
-        scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
-        if codes.len() != count {
-            return Err(Error::Corrupt("double dict code count mismatch"));
-        }
-        codes_u32.clear();
-        for &c in codes.iter() {
-            if c < 0 || c as usize >= dict_len {
-                return Err(Error::Corrupt("double dict code out of range"));
-            }
-            // lint: allow(cast) c was range-checked non-negative and < dict len above
-            codes_u32.push(c as u32);
-        }
-        simd::dict_decode_f64_into(&codes_u32, &dict, cfg.simd, out);
-        Ok(())
-    })();
-    scratch.release_f64(dict);
-    scratch.release_i32(codes);
-    scratch.release_u32(codes_u32);
-    result
+    read(r, count, cfg, scratch, |dict, codes| {
+        simd::dict_decode_f64_into(codes, dict, cfg.simd, out)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::scheme::testutil::{assert_bits_eq, decode_double, encode_double};
 
     fn roundtrip(values: &[f64]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Dict, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let buf = encode_double(SchemeCode::Dict, values);
+        assert_bits_eq(values, &decode_double(&buf, &Config::default()).unwrap());
     }
 
     #[test]

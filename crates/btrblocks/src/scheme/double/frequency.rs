@@ -5,6 +5,8 @@
 
 use crate::config::Config;
 use crate::scheme;
+use crate::scheme::int::frequency::read_positions_into;
+use crate::simd;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::stats::DoubleStats;
 use crate::writer::{Reader, WriteLe};
@@ -40,28 +42,21 @@ pub fn compress(
     // lint: allow(cast) encode side: serialized bitmap is far smaller than 4 GiB
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_double_into(&exceptions, child_depth, cfg, scratch, out);
+    scheme::compress_double_into(&exceptions, child_depth, cfg, scratch, out, None);
     scratch.release_f64(exceptions);
 }
 
-/// Decompresses a Frequency block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses a Frequency block of `count` doubles into `out`, leasing the
-/// exception buffer from `scratch`. The Roaring bitmap itself still
-/// deserializes into fresh containers — the one allocation this scheme keeps.
-pub fn decompress_into(
+/// Reads a Frequency payload of `count` doubles and hands `f` the top
+/// value, the validated exception positions and the exception values (see
+/// [`crate::scheme::int::frequency::read`] for the contract). The one parser
+/// of the double Frequency layout.
+pub(crate) fn read<T>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
     scratch: &mut DecodeScratch,
-    out: &mut Vec<f64>,
-) -> Result<()> {
+    f: impl FnOnce(f64, &[u32], &[f64]) -> T,
+) -> Result<T> {
     let top = r.f64()?;
     let bitmap_len = r.u32()? as usize;
     let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
@@ -69,37 +64,39 @@ pub fn decompress_into(
     let mut positions = scratch.lease_u32(bitmap.cardinality() as usize);
     let result = (|| -> Result<()> {
         scheme::decompress_double_into(r, cfg, scratch, &mut exceptions)?;
-        if bitmap.cardinality() as usize != exceptions.len() {
-            return Err(Error::Corrupt("double frequency exception count mismatch"));
-        }
-        positions.extend(bitmap.iter());
-        // Splat the top value, then patch the exceptions in: both steps are
-        // vectorized, with one range check over all positions up front.
-        crate::simd::fill_f64(top, count, cfg.simd, out);
-        if !crate::simd::patch_f64(out, &positions, &exceptions, cfg.simd) {
-            return Err(Error::Corrupt("double frequency position out of range"));
-        }
-        Ok(())
-    })();
+        read_positions_into(&bitmap, exceptions.len(), count, cfg, &mut positions)
+    })()
+    .map(|()| f(top, &positions, &exceptions));
     scratch.release_u32(positions);
     scratch.release_f64(exceptions);
     result
 }
 
+/// Decompresses a Frequency block of `count` doubles into `out`: splat the
+/// top value, then patch the exceptions in (both vectorized).
+pub fn decompress_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    let patched = read(r, count, cfg, scratch, |top, positions, exceptions| {
+        simd::fill_f64(top, count, cfg.simd, out);
+        simd::patch_f64(out, positions, exceptions, cfg.simd)
+    })?;
+    patched.then_some(()).ok_or(Error::Corrupt("frequency exception position out of range"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::scheme::testutil::{assert_bits_eq, decode_double, encode_double};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[f64]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Frequency, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let buf = encode_double(SchemeCode::Frequency, values);
+        assert_bits_eq(values, &decode_double(&buf, &Config::default()).unwrap());
         buf.len()
     }
 

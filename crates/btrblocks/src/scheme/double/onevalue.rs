@@ -12,10 +12,10 @@ pub fn compress(values: &[f64], out: &mut Vec<u8>) {
     out.put_f64(values.first().copied().unwrap_or(0.0));
 }
 
-/// Expands the stored value `count` times.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<f64>> {
-    let v = r.f64()?;
-    Ok(vec![v; count])
+/// Reads the stored value: the one parser of this layout, shared by
+/// [`decompress_into`] and the compressed-domain filter and aggregates.
+pub fn read(r: &mut Reader<'_>) -> Result<f64> {
+    r.f64()
 }
 
 /// Expands the stored value `count` times into `out`, reusing its capacity.
@@ -26,7 +26,7 @@ pub fn decompress_into(
     _scratch: &mut DecodeScratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    let v = r.f64()?;
+    let v = read(r)?;
     out.clear();
     out.resize(count, v);
     Ok(())
@@ -34,18 +34,17 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::{decode_double, encode_double};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_including_nan() {
         for v in [0.0f64, -0.0, f64::NAN, 123.456] {
-            let values = vec![v; 1000];
-            let mut buf = Vec::new();
-            compress(&values, &mut buf);
-            assert_eq!(buf.len(), 8);
-            let mut r = Reader::new(&buf);
-            let out = decompress(&mut r, 1000).unwrap();
-            assert!(out.iter().all(|x| x.to_bits() == v.to_bits()));
+            let buf = encode_double(SchemeCode::OneValue, &vec![v; 1000]);
+            assert_eq!(buf.len(), 5 + 8);
+            let out = decode_double(&buf, &Config::default()).unwrap();
+            assert!(out.len() == 1000 && out.iter().all(|x| x.to_bits() == v.to_bits()));
         }
     }
 }

@@ -6,22 +6,16 @@
 
 use crate::config::Config;
 use crate::scheme;
+use crate::scheme::int::rle::validate_lengths;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 
 /// Splits `values` into `(run_values, run_lengths)` comparing bit patterns,
-/// so NaN runs and `-0.0` vs `0.0` behave losslessly.
-pub fn runs_of(values: &[f64]) -> (Vec<f64>, Vec<i32>) {
-    let mut run_values = Vec::new();
-    let mut run_lengths = Vec::new();
-    runs_of_into(values, &mut run_values, &mut run_lengths);
-    (run_values, run_lengths)
-}
-
-/// [`runs_of`] into caller-owned buffers (cleared first), so the encode path
-/// can lease the run arrays instead of allocating per block.
+/// so NaN runs and `-0.0` vs `0.0` behave losslessly. Fills caller-owned
+/// buffers (cleared first), so the encode path can lease the run arrays
+/// instead of allocating per block.
 pub fn runs_of_into(values: &[f64], run_values: &mut Vec<f64>, run_lengths: &mut Vec<i32>) {
     run_values.clear();
     run_lengths.clear();
@@ -52,29 +46,23 @@ pub fn compress(
     runs_of_into(values, &mut run_values, &mut run_lengths);
     // lint: allow(cast) encode side: run count fits u32
     out.put_u32(run_values.len() as u32);
-    scheme::compress_double_into(&run_values, child_depth, cfg, scratch, out);
-    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out);
+    scheme::compress_double_into(&run_values, child_depth, cfg, scratch, out, None);
+    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out, None);
     scratch.release_f64(run_values);
     scratch.release_i32(run_lengths);
 }
 
-/// Decompresses an RLE block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses an RLE block of `count` doubles into `out`, leasing the run
-/// arrays from `scratch` and returning them on every exit path.
-pub fn decompress_into(
+/// Reads an RLE payload of `count` doubles and hands its validated runs to
+/// `f` (see [`crate::scheme::int::rle::read_runs`] for the contract). The one
+/// parser of the double RLE layout, shared by [`decompress_into`] and the
+/// compressed-domain filter and aggregates.
+pub fn read_runs<T>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
     scratch: &mut DecodeScratch,
-    out: &mut Vec<f64>,
-) -> Result<()> {
+    f: impl FnOnce(&[f64], &[u32]) -> T,
+) -> Result<T> {
     let run_count = r.u32()? as usize;
     // Capacity hints only — the cascade fills to whatever the child frames
     // say. Clamp so a hostile run_count can't force a huge lease.
@@ -88,43 +76,38 @@ pub fn decompress_into(
         if run_values.len() != run_count || run_lengths.len() != run_count {
             return Err(Error::Corrupt("double RLE run array length mismatch"));
         }
-        let mut total = 0usize;
-        lengths.clear();
-        for &l in run_lengths.iter() {
-            if l < 0 {
-                return Err(Error::Corrupt("negative double RLE run length"));
-            }
-            total += l as usize;
-            // lint: allow(cast) l was checked non-negative above
-            lengths.push(l as u32);
-        }
-        if total != count {
-            return Err(Error::Corrupt("double RLE total length mismatch"));
-        }
-        simd::rle_decode_f64_into(&run_values, &lengths, total, cfg.simd, out);
-        Ok(())
-    })();
+        validate_lengths(&run_lengths, count, &mut lengths)
+    })()
+    .map(|()| f(&run_values, &lengths));
     scratch.release_f64(run_values);
     scratch.release_i32(run_lengths);
     scratch.release_u32(lengths);
     result
 }
 
+/// Decompresses an RLE block of `count` doubles into `out` with the 4-wide
+/// AVX2 splat-store kernel.
+pub fn decompress_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    read_runs(r, count, cfg, scratch, |values, lengths| {
+        simd::rle_decode_f64_into(values, lengths, count, cfg.simd, out)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::scheme::testutil::{assert_bits_eq, decode_double, encode_double};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[f64]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Rle, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), values.len());
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let buf = encode_double(SchemeCode::Rle, values);
+        assert_bits_eq(values, &decode_double(&buf, &Config::default()).unwrap());
     }
 
     #[test]

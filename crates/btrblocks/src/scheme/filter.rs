@@ -17,12 +17,19 @@
 //! The entry points evaluate an equality or range predicate against one
 //! compressed block and return the matching row positions as a Roaring
 //! bitmap, without materializing the decompressed column when a fast path
-//! applies. The expression engine (crate `btr-expr`) builds its leaf kernels
-//! on top of these entry points; the crate root re-exports them.
+//! applies. Fast paths read the frame header here and every payload byte
+//! through the scheme modules' validated readers — the same parsers the
+//! decoders are built on — so a frame the decoder rejects (bad counts,
+//! truncation, trailing bytes) is rejected here too, and every returned row
+//! is below the frame's count. The expression engine (crate `btr-expr`)
+//! builds its leaf kernels on top of these entry points; the crate root
+//! re-exports them.
 
+use crate::block::decompress_block_into;
 use crate::config::Config;
-use crate::scheme::{self, SchemeCode};
-use crate::types::{CmpOp, ColumnType, DecodedColumn, Literal};
+use crate::scheme::{self, double, int, str as sstr, SchemeCode};
+use crate::scratch::DecodeScratch;
+use crate::types::{CmpOp, ColumnType, DecodedColumn, Literal, StringViews};
 use crate::writer::Reader;
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
@@ -63,24 +70,40 @@ pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Resu
 }
 
 /// Evaluates `op(literal)` over one compressed block, returning matching row
-/// positions (block-relative).
+/// positions (block-relative). Schemes without a fast path are decoded into
+/// buffers leased from `scratch` and filtered with [`filter_decoded`].
 pub fn filter_block(
     bytes: &[u8],
     ty: ColumnType,
     op: CmpOp,
     literal: &Literal,
     cfg: &Config,
+    scratch: &mut DecodeScratch,
 ) -> Result<RoaringBitmap> {
     let mut r = Reader::new(bytes);
-    let code = SchemeCode::from_u8(r.u8()?)?;
-    let count = r.u32()? as usize;
-    match (ty, literal) {
-        (ColumnType::Integer, Literal::Int(lit)) => filter_int(&mut r, code, count, op, *lit, cfg),
-        (ColumnType::Double, Literal::Double(lit)) => {
-            filter_double(&mut r, code, count, op, *lit, cfg)
+    let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
+    let fast = match (ty, literal) {
+        (ColumnType::Integer, Literal::Int(lit)) => {
+            filter_int(&mut r, code, count, op, *lit, cfg, scratch)?
         }
-        (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit, cfg),
-        _ => Err(Error::Corrupt("predicate literal type mismatch")),
+        (ColumnType::Double, Literal::Double(lit)) => {
+            filter_double(&mut r, code, count, op, *lit, cfg, scratch)?
+        }
+        (ColumnType::String, Literal::Str(lit)) => {
+            filter_str(&mut r, code, count, op, lit, cfg, scratch)?
+        }
+        _ => return Err(Error::Corrupt("predicate literal type mismatch")),
+    };
+    match fast {
+        Some(_) if !r.rest().is_empty() => Err(Error::Corrupt("trailing bytes after block")),
+        Some(rows) => Ok(rows),
+        None => {
+            let mut col = scratch.lease_decoded(ty);
+            let rows = decompress_block_into(bytes, ty, cfg, scratch, &mut col)
+                .and_then(|()| filter_decoded(&col, op, literal));
+            scratch.recycle(col);
+            rows
+        }
     }
 }
 
@@ -104,26 +127,48 @@ fn all_or_none(count: usize, matched: bool) -> RoaringBitmap {
 
 /// Expands per-run verdicts to per-row positions in O(runs): matching runs
 /// become Roaring run-container ranges directly — the whole point of
-/// evaluating on compressed data.
-///
-/// Run lengths are decoded from untrusted bytes: a negative length or a total
-/// exceeding `u32::MAX` is a corruption, not a wrap-around.
-fn expand_runs(verdicts: &[bool], lengths: &[i32]) -> Result<RoaringBitmap> {
+/// evaluating on compressed data. The RLE readers guarantee the lengths sum
+/// to the frame count, so no range can leave the block.
+fn expand_runs(verdicts: impl Iterator<Item = bool>, lengths: &[u32]) -> RoaringBitmap {
     let mut pos = 0u32;
     let mut ranges = Vec::new();
-    for (&v, &l) in verdicts.iter().zip(lengths) {
-        let len = u32::try_from(l).map_err(|_| Error::Corrupt("negative RLE run length"))?;
-        let end = pos
-            .checked_add(len)
-            .ok_or(Error::Corrupt("RLE run lengths overflow the row space"))?;
+    for (v, &len) in verdicts.zip(lengths) {
         if v {
-            ranges.push(pos..end);
+            ranges.push(pos..pos + len);
         }
-        pos = end;
+        pos += len;
     }
-    Ok(RoaringBitmap::from_sorted_ranges(ranges))
+    RoaringBitmap::from_sorted_ranges(ranges)
 }
 
+/// Maps a validated code sequence through a per-entry verdict table.
+fn map_codes(verdicts: &[bool], codes: &[u32]) -> RoaringBitmap {
+    positions_where(codes.iter().map(|&c| verdicts.get(c as usize).copied().unwrap_or(false)))
+}
+
+/// Frequency: the top value is decided once; only exceptions whose verdict
+/// differs from the top's flip their row.
+fn frequency_rows(
+    count: usize,
+    top_matches: bool,
+    positions: &[u32],
+    exception_matches: impl Iterator<Item = bool>,
+) -> RoaringBitmap {
+    let mut out = all_or_none(count, top_matches);
+    for (&pos, matched) in positions.iter().zip(exception_matches) {
+        if matched != top_matches {
+            if matched {
+                out.insert(pos);
+            } else {
+                out.remove(pos);
+            }
+        }
+    }
+    out
+}
+
+/// Compressed-domain evaluation over an integer frame; `None` when the
+/// scheme has no fast path.
 fn filter_int(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -131,79 +176,28 @@ fn filter_int(
     op: CmpOp,
     lit: i32,
     cfg: &Config,
-) -> Result<RoaringBitmap> {
-    match code {
-        SchemeCode::OneValue => {
-            let v = r.i32()?;
-            Ok(all_or_none(count, op.matches(&v, &lit)))
-        }
-        SchemeCode::Rle => {
-            let _run_count = r.u32()?;
-            let values = scheme::decompress_int(r, cfg)?;
-            let lengths = scheme::decompress_int(r, cfg)?;
-            let verdicts: Vec<bool> = values.iter().map(|v| op.matches(v, &lit)).collect();
-            expand_runs(&verdicts, &lengths)
-        }
-        SchemeCode::Dict => {
-            let dict_len = r.u32()? as usize;
-            let dict = r.i32_vec(dict_len)?;
-            let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let codes = scheme::decompress_int(r, cfg)?;
-            Ok(positions_where(codes.iter().map(|&c| {
-                verdict.get(c as usize).copied().unwrap_or(false)
-            })))
-        }
+    scratch: &mut DecodeScratch,
+) -> Result<Option<RoaringBitmap>> {
+    let hit = |v: &i32| op.matches(v, &lit);
+    Ok(Some(match code {
+        SchemeCode::OneValue => all_or_none(count, hit(&int::onevalue::read(r)?)),
+        SchemeCode::Rle => int::rle::read_runs(r, count, cfg, scratch, |values, lengths| {
+            expand_runs(values.iter().map(hit), lengths)
+        })?,
+        SchemeCode::Dict => int::dict::read(r, count, cfg, scratch, |dict, codes| {
+            map_codes(&dict.iter().map(hit).collect::<Vec<_>>(), codes)
+        })?,
         SchemeCode::Frequency => {
-            let top = r.i32()?;
-            let bitmap_len = r.u32()? as usize;
-            let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let exceptions = scheme::decompress_int(r, cfg)?;
-            let top_matches = op.matches(&top, &lit);
-            let mut out = if top_matches {
-                // Everything matches except exceptions that fail.
-                // lint: allow(cast) count came off a u32 frame header
-                let mut out = RoaringBitmap::from_sorted_iter(0..count as u32);
-                for (pos, v) in bitmap.iter().zip(&exceptions) {
-                    if !op.matches(v, &lit) {
-                        out.remove(pos);
-                    }
-                }
-                out
-            } else {
-                RoaringBitmap::new()
-            };
-            if !top_matches {
-                for (pos, v) in bitmap.iter().zip(&exceptions) {
-                    if op.matches(v, &lit) {
-                        out.insert(pos);
-                    }
-                }
-            }
-            Ok(out)
+            int::frequency::read(r, count, cfg, scratch, |top, positions, exceptions| {
+                frequency_rows(count, hit(&top), positions, exceptions.iter().map(hit))
+            })?
         }
-        // Bit-packed and uncompressed blocks: decompress then filter.
-        _ => {
-            let values = dispatch_int(r, code, count, cfg)?;
-            Ok(positions_where(values.iter().map(|v| op.matches(v, &lit))))
-        }
-    }
+        _ => return Ok(None),
+    }))
 }
 
-fn dispatch_int(
-    r: &mut Reader<'_>,
-    code: SchemeCode,
-    count: usize,
-    _cfg: &Config,
-) -> Result<Vec<i32>> {
-    use crate::scheme::int;
-    match code {
-        SchemeCode::Uncompressed => int::uncompressed::decompress(r, count),
-        SchemeCode::FastPfor => int::pfor::decompress(r, count),
-        SchemeCode::FastBp128 => int::bp::decompress(r, count),
-        other => Err(Error::InvalidScheme(other.as_u8())),
-    }
-}
-
+/// Compressed-domain evaluation over a double frame; `None` when the scheme
+/// has no fast path.
 fn filter_double(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -211,59 +205,29 @@ fn filter_double(
     op: CmpOp,
     lit: f64,
     cfg: &Config,
-) -> Result<RoaringBitmap> {
-    match code {
-        SchemeCode::OneValue => {
-            let v = r.f64()?;
-            Ok(all_or_none(count, op.matches(&v, &lit)))
-        }
-        SchemeCode::Rle => {
-            let _run_count = r.u32()?;
-            let values = scheme::decompress_double(r, cfg)?;
-            let lengths = scheme::decompress_int(r, cfg)?;
-            let verdicts: Vec<bool> = values.iter().map(|v| op.matches(v, &lit)).collect();
-            expand_runs(&verdicts, &lengths)
-        }
-        SchemeCode::Dict => {
-            let dict_len = r.u32()? as usize;
-            let dict = r.f64_vec(dict_len)?;
-            let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let codes = scheme::decompress_int(r, cfg)?;
-            Ok(positions_where(codes.iter().map(|&c| {
-                verdict.get(c as usize).copied().unwrap_or(false)
-            })))
-        }
+    scratch: &mut DecodeScratch,
+) -> Result<Option<RoaringBitmap>> {
+    let hit = |v: &f64| op.matches(v, &lit);
+    Ok(Some(match code {
+        SchemeCode::OneValue => all_or_none(count, hit(&double::onevalue::read(r)?)),
+        SchemeCode::Rle => double::rle::read_runs(r, count, cfg, scratch, |values, lengths| {
+            expand_runs(values.iter().map(hit), lengths)
+        })?,
+        SchemeCode::Dict => double::dict::read(r, count, cfg, scratch, |dict, codes| {
+            map_codes(&dict.iter().map(hit).collect::<Vec<_>>(), codes)
+        })?,
         SchemeCode::Frequency => {
-            let top = r.f64()?;
-            let bitmap_len = r.u32()? as usize;
-            let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let exceptions = scheme::decompress_double(r, cfg)?;
-            let top_matches = op.matches(&top, &lit);
-            let mut out = all_or_none(count, top_matches);
-            for (pos, v) in bitmap.iter().zip(&exceptions) {
-                if op.matches(v, &lit) != top_matches {
-                    if top_matches {
-                        out.remove(pos);
-                    } else {
-                        out.insert(pos);
-                    }
-                }
-            }
-            Ok(out)
+            double::frequency::read(r, count, cfg, scratch, |top, positions, exceptions| {
+                frequency_rows(count, hit(&top), positions, exceptions.iter().map(hit))
+            })?
         }
-        // Pseudodecimal / Uncompressed: decompress then filter.
-        other => {
-            use crate::scheme::double;
-            let values = match other {
-                SchemeCode::Uncompressed => double::uncompressed::decompress(r, count)?,
-                SchemeCode::Pseudodecimal => double::decimal::decompress(r, count, cfg)?,
-                other => return Err(Error::InvalidScheme(other.as_u8())),
-            };
-            Ok(positions_where(values.iter().map(|v| op.matches(v, &lit))))
-        }
-    }
+        _ => return Ok(None),
+    }))
 }
 
+/// Compressed-domain evaluation over a string frame; `None` when the scheme
+/// has no fast path. Dictionaries evaluate once per *distinct* value and map
+/// the code sequence through the verdict table.
 fn filter_str(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -271,39 +235,20 @@ fn filter_str(
     op: CmpOp,
     lit: &[u8],
     cfg: &Config,
-) -> Result<RoaringBitmap> {
-    use crate::scheme::str as sstr;
-    match code {
+    scratch: &mut DecodeScratch,
+) -> Result<Option<RoaringBitmap>> {
+    let dict_rows = |dict: &StringViews, codes: &[u32]| {
+        map_codes(&dict.iter().map(|s| op.matches(&s, &lit)).collect::<Vec<_>>(), codes)
+    };
+    Ok(Some(match code {
         SchemeCode::OneValue => {
-            let views = sstr::onevalue::decompress(r, count)?;
-            let matched = count > 0 && op.matches(&views.get(0), &lit);
-            Ok(all_or_none(count, matched))
+            let s = sstr::onevalue::read(r)?;
+            all_or_none(count, count > 0 && op.matches(&s, &lit))
         }
-        SchemeCode::Dict | SchemeCode::DictFsst => {
-            // Decode the dictionary (tiny) and evaluate per distinct value;
-            // the code sequence maps through the verdict table.
-            let views = match code {
-                SchemeCode::Dict => sstr::dict::decompress(r, count, cfg)?,
-                _ => sstr::dict_fsst::decompress(r, count, cfg)?,
-            };
-            // The views share the dict pool; evaluate each row's view. Rows
-            // with equal views hit the same bytes, so this is cache-friendly
-            // even without an explicit verdict table.
-            Ok(positions_where(
-                (0..views.len()).map(|i| op.matches(&views.get(i), &lit)),
-            ))
-        }
-        SchemeCode::Uncompressed | SchemeCode::Fsst => {
-            let views = match code {
-                SchemeCode::Uncompressed => sstr::uncompressed::decompress(r, count)?,
-                _ => sstr::fsst::decompress(r, count, cfg)?,
-            };
-            Ok(positions_where(
-                (0..views.len()).map(|i| op.matches(&views.get(i), &lit)),
-            ))
-        }
-        other => Err(Error::InvalidScheme(other.as_u8())),
-    }
+        SchemeCode::Dict => sstr::dict::read(r, count, cfg, scratch, dict_rows)?,
+        SchemeCode::DictFsst => sstr::dict_fsst::read(r, count, cfg, scratch, dict_rows)?,
+        _ => return Ok(None),
+    }))
 }
 
 #[cfg(test)]
@@ -340,7 +285,9 @@ mod tests {
                 ColumnData::Double(v) => compress_block_with(code, BlockRef::Double(v), &cfg),
                 ColumnData::Str(a) => compress_block_with(code, BlockRef::Str(a), &cfg),
             };
-            let got = filter_block(&bytes, data.column_type(), op, &lit, &cfg).unwrap();
+            let mut scratch = DecodeScratch::new();
+            let ty = data.column_type();
+            let got = filter_block(&bytes, ty, op, &lit, &cfg, &mut scratch).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 expected,
@@ -439,7 +386,10 @@ mod tests {
     fn type_mismatch_is_error() {
         let cfg = Config::default();
         let bytes = compress_block_with(SchemeCode::Uncompressed, BlockRef::Int(&[1, 2]), &cfg);
-        assert!(filter_block(&bytes, ColumnType::Integer, CmpOp::Eq, &Literal::Double(1.0), &cfg).is_err());
+        let mut scratch = DecodeScratch::new();
+        let lit = Literal::Double(1.0);
+        let got = filter_block(&bytes, ColumnType::Integer, CmpOp::Eq, &lit, &cfg, &mut scratch);
+        assert!(got.is_err());
     }
 
     #[test]
@@ -450,9 +400,11 @@ mod tests {
         let bytes =
             compress_block_with(SchemeCode::Uncompressed, BlockRef::Int(&values), &cfg);
         let decoded = decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap();
+        let mut scratch = DecodeScratch::new();
         for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
+            let lit = Literal::Int(13);
             let via_block =
-                filter_block(&bytes, ColumnType::Integer, op, &Literal::Int(13), &cfg).unwrap();
+                filter_block(&bytes, ColumnType::Integer, op, &lit, &cfg, &mut scratch).unwrap();
             let via_decoded = filter_decoded(&decoded, op, &Literal::Int(13)).unwrap();
             assert_eq!(
                 via_block.iter().collect::<Vec<_>>(),

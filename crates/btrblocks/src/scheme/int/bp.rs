@@ -12,13 +12,8 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{bp128, for_delta};
 
-/// Compresses `values` as FOR + FastBP128.
-pub fn compress(values: &[i32], out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_into(values, &mut scratch, out);
-}
-
-/// [`compress`] leasing the offset and packed-word buffers from `scratch`.
+/// Compresses `values` as FOR + FastBP128, leasing the offset and packed-word
+/// buffers from `scratch`.
 pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
     let mut offsets = scratch.lease_u32(values.len());
     let base = for_delta::for_encode_into(values, &mut offsets);
@@ -30,14 +25,6 @@ pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<
     out.put_u32_slice(&words);
     scratch.release_u32(words);
     scratch.release_u32(offsets);
-}
-
-/// Decompresses a FastBP128 block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a FastBP128 block of `count` values into `out`, leasing the
@@ -80,16 +67,13 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::Config;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
+    use crate::scheme::testutil::{decode_int, encode_int};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::FastBp128, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
+        let buf = encode_int(SchemeCode::FastBp128, values);
+        assert_eq!(decode_int(&buf, &Config::default()).unwrap(), values);
         buf.len()
     }
 
@@ -110,15 +94,12 @@ mod tests {
 
     #[test]
     fn outlier_hurts_bp_more_than_pfor() {
-        let cfg = Config::default();
         let mut values: Vec<i32> = (0..12_800).map(|i| i % 16).collect();
         for i in (0..values.len()).step_by(128) {
             values[i] = i32::MAX;
         }
-        let mut bp_buf = Vec::new();
-        compress_int_with(SchemeCode::FastBp128, &values, 3, &cfg, &mut bp_buf);
-        let mut pfor_buf = Vec::new();
-        compress_int_with(SchemeCode::FastPfor, &values, 3, &cfg, &mut pfor_buf);
+        let bp_buf = encode_int(SchemeCode::FastBp128, &values);
+        let pfor_buf = encode_int(SchemeCode::FastPfor, &values);
         assert!(
             pfor_buf.len() * 2 < bp_buf.len(),
             "pfor {} vs bp {}",

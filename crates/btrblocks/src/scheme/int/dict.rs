@@ -6,24 +6,16 @@
 //! AVX2 gather kernel of §5.
 
 use crate::config::Config;
-use crate::scheme;
+use crate::scheme::{self, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary, codes)` in first-occurrence order.
-pub fn encode_dict(values: &[i32]) -> (Vec<i32>, Vec<i32>) {
-    let mut map = FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
-    let mut dict = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (all cleared first), so the
-/// encode path can lease the map and both arrays instead of allocating.
+/// Builds `(dictionary, codes)` in first-occurrence order into caller-owned
+/// buffers (all cleared first), so the encode path can lease the map and
+/// both arrays instead of allocating.
 pub fn encode_dict_into(
     values: &[i32],
     map: &mut FxHashMap<i32, usize>,
@@ -60,28 +52,70 @@ pub fn compress(
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     out.put_i32_slice(&dict);
-    scheme::compress_int_excluding_into(
-        &codes,
-        child_depth,
-        cfg,
-        scratch,
-        out,
-        Some(crate::scheme::SchemeCode::Dict),
-    );
+    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     scratch.release_i32(dict);
     scratch.release_i32(codes);
 }
 
-/// Decompresses a dictionary block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
+/// Reads a dictionary payload of `count` values and hands the dictionary and
+/// the validated code sequence (`count` codes, each `< dict.len()`) to `f`.
+/// Both buffers are leased from `scratch` and returned on every exit path.
+///
+/// This is the one parser of the integer dictionary layout:
+/// [`decompress_into`] gathers through it, the compressed-domain filter
+/// evaluates the predicate once per dictionary entry.
+pub(crate) fn read<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    f: impl FnOnce(&[i32], &[u32]) -> T,
+) -> Result<T> {
+    let dict_len = r.u32()? as usize;
+    let mut dict = scratch.lease_i32(dict_len.min(cfg.max_block_values));
+    let mut codes = scratch.lease_u32(count);
+    let result = r
+        .i32_vec_into(dict_len, &mut dict)
+        .and_then(|()| read_codes_into(r, count, dict_len, cfg, scratch, &mut codes))
+        .map(|()| f(&dict, &codes));
+    scratch.release_i32(dict);
+    scratch.release_u32(codes);
+    result
 }
 
-/// Decompresses a dictionary block of `count` values into `out`, leasing the
-/// dictionary and code buffers from `scratch`.
+/// Reads a dictionary's cascaded code sequence into `out` (cleared first),
+/// rejecting a sequence of other than `count` codes or any code outside
+/// `0..dict_len`. Shared by every dictionary scheme (integer, double,
+/// string and Dict+FSST).
+pub(crate) fn read_codes_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    dict_len: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    let mut codes = scratch.lease_i32(count);
+    let result = (|| -> Result<()> {
+        scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
+        if codes.len() != count {
+            return Err(Error::Corrupt("dict code count mismatch"));
+        }
+        out.clear();
+        for &c in codes.iter() {
+            match u32::try_from(c) {
+                Ok(code) if (code as usize) < dict_len => out.push(code),
+                _ => return Err(Error::Corrupt("dict code out of range")),
+            }
+        }
+        Ok(())
+    })();
+    scratch.release_i32(codes);
+    result
+}
+
+/// Decompresses a dictionary block of `count` values into `out` with the
+/// AVX2 gather kernel.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -89,44 +123,20 @@ pub fn decompress_into(
     scratch: &mut DecodeScratch,
     out: &mut Vec<i32>,
 ) -> Result<()> {
-    let dict_len = r.u32()? as usize;
-    let mut dict = scratch.lease_i32(dict_len.min(cfg.max_block_values));
-    let mut codes = scratch.lease_i32(count);
-    let mut codes_u32 = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        r.i32_vec_into(dict_len, &mut dict)?;
-        scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
-        if codes.len() != count {
-            return Err(Error::Corrupt("dict code count mismatch"));
-        }
-        codes_u32.clear();
-        for &c in codes.iter() {
-            if c < 0 || c as usize >= dict_len {
-                return Err(Error::Corrupt("dict code out of range"));
-            }
-            // lint: allow(cast) c was range-checked non-negative and < dict len above
-            codes_u32.push(c as u32);
-        }
-        simd::dict_decode_i32_into(&codes_u32, &dict, cfg.simd, out);
-        Ok(())
-    })();
-    scratch.release_i32(dict);
-    scratch.release_i32(codes);
-    scratch.release_u32(codes_u32);
-    result
+    read(r, count, cfg, scratch, |dict, codes| {
+        simd::dict_decode_i32_into(codes, dict, cfg.simd, out)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
+    use crate::scheme::testutil::{decode_int, encode_int};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[i32]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Dict, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
+        let buf = encode_int(SchemeCode::Dict, values);
+        assert_eq!(decode_int(&buf, &Config::default()).unwrap(), values);
     }
 
     #[test]
@@ -143,26 +153,23 @@ mod tests {
 
     #[test]
     fn encode_dict_first_occurrence_order() {
-        let (dict, codes) = encode_dict(&[9, 5, 9, 1, 5]);
+        let (mut map, mut dict, mut codes) = Default::default();
+        encode_dict_into(&[9, 5, 9, 1, 5], &mut map, &mut dict, &mut codes);
         assert_eq!(dict, vec![9, 5, 1]);
         assert_eq!(codes, vec![0, 1, 0, 2, 1]);
     }
 
     #[test]
     fn low_cardinality_compresses_well() {
-        let cfg = Config::default();
         let values: Vec<i32> = (0..64_000).map(|i| (i % 3) * 1_000_000).collect();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Dict, &values, 3, &cfg, &mut buf);
+        let buf = encode_int(SchemeCode::Dict, &values);
         assert!(buf.len() * 8 < values.len() * 4, "got {} bytes", buf.len());
     }
 
     #[test]
     fn out_of_range_code_is_error() {
-        let cfg = Config::default();
         let mut buf = Vec::new();
         // Hand-craft: dict of 1 entry, uncompressed codes [0, 1] (1 invalid).
-        use crate::writer::WriteLe;
         buf.put_u8(SchemeCode::Dict as u8);
         buf.put_u32(2);
         buf.put_u32(1);
@@ -171,7 +178,6 @@ mod tests {
         buf.put_u32(2);
         buf.put_i32(0);
         buf.put_i32(1);
-        let mut r = Reader::new(&buf);
-        assert!(decompress_int(&mut r, &cfg).is_err());
+        assert!(decode_int(&buf, &Config::default()).is_err());
     }
 }

@@ -11,6 +11,7 @@
 use crate::config::Config;
 use crate::scheme;
 use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::simd;
 use crate::stats::IntegerStats;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -45,28 +46,26 @@ pub fn compress(
     // lint: allow(cast) encode side: serialized bitmap is far smaller than 4 GiB
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_int_into(&exceptions, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&exceptions, child_depth, cfg, scratch, out, None);
     scratch.release_i32(exceptions);
 }
 
-/// Decompresses a Frequency block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses a Frequency block of `count` values into `out`, leasing the
-/// exception buffer from `scratch`. The Roaring bitmap itself still
-/// deserializes into fresh containers — the one allocation this scheme keeps.
-pub fn decompress_into(
+/// Reads a Frequency payload of `count` values and hands `f` the top value,
+/// the exception positions (ascending, each `< count`) and the exception
+/// values (one per position). The position and exception buffers are leased
+/// from `scratch`; the Roaring bitmap itself still deserializes into fresh
+/// containers — the one allocation this scheme keeps.
+///
+/// This is the one parser of the Frequency layout: [`decompress_into`]
+/// splats and patches through it, the compressed-domain filter decides the
+/// top value once and only visits the exceptions.
+pub(crate) fn read<T>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
     scratch: &mut DecodeScratch,
-    out: &mut Vec<i32>,
-) -> Result<()> {
+    f: impl FnOnce(i32, &[u32], &[i32]) -> T,
+) -> Result<T> {
     let top = r.i32()?;
     let bitmap_len = r.u32()? as usize;
     let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
@@ -74,34 +73,61 @@ pub fn decompress_into(
     let mut positions = scratch.lease_u32(bitmap.cardinality() as usize);
     let result = (|| -> Result<()> {
         scheme::decompress_int_into(r, cfg, scratch, &mut exceptions)?;
-        if bitmap.cardinality() as usize != exceptions.len() {
-            return Err(Error::Corrupt("frequency exception count mismatch"));
-        }
-        positions.extend(bitmap.iter());
-        // Splat the top value, then patch the exceptions in: both steps are
-        // vectorized, with one range check over all positions up front.
-        crate::simd::fill_i32(top, count, cfg.simd, out);
-        if !crate::simd::patch_i32(out, &positions, &exceptions, cfg.simd) {
-            return Err(Error::Corrupt("frequency exception position out of range"));
-        }
-        Ok(())
-    })();
+        read_positions_into(&bitmap, exceptions.len(), count, cfg, &mut positions)
+    })()
+    .map(|()| f(top, &positions, &exceptions));
     scratch.release_u32(positions);
     scratch.release_i32(exceptions);
     result
 }
 
+/// Expands the exception bitmap into `out`, rejecting a bitmap whose
+/// cardinality differs from the `exceptions` count or that marks a position
+/// at or past `count`. Shared by the integer and double Frequency readers.
+pub(crate) fn read_positions_into(
+    bitmap: &RoaringBitmap,
+    exceptions: usize,
+    count: usize,
+    cfg: &Config,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    if bitmap.cardinality() as usize != exceptions {
+        return Err(Error::Corrupt("frequency exception count mismatch"));
+    }
+    out.clear();
+    out.extend(bitmap.iter());
+    if !simd::positions_in_range(out, count, cfg.simd) {
+        return Err(Error::Corrupt("frequency exception position out of range"));
+    }
+    Ok(())
+}
+
+/// Decompresses a Frequency block of `count` values into `out`: splat the
+/// top value, then patch the exceptions in (both vectorized; the patch
+/// re-checks the positions `read` already validated).
+pub fn decompress_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<i32>,
+) -> Result<()> {
+    let patched = read(r, count, cfg, scratch, |top, positions, exceptions| {
+        simd::fill_i32(top, count, cfg.simd, out);
+        simd::patch_i32(out, positions, exceptions, cfg.simd)
+    })?;
+    patched.then_some(()).ok_or(Error::Corrupt("frequency exception position out of range"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
+    use crate::scheme::testutil::{decode_int, encode_int};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Frequency, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
+        let buf = encode_int(SchemeCode::Frequency, values);
+        assert_eq!(decode_int(&buf, &Config::default()).unwrap(), values);
         buf.len()
     }
 

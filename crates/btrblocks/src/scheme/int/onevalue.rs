@@ -12,10 +12,10 @@ pub fn compress(values: &[i32], out: &mut Vec<u8>) {
     out.put_i32(values.first().copied().unwrap_or(0));
 }
 
-/// Expands the stored value `count` times.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    let v = r.i32()?;
-    Ok(vec![v; count])
+/// Reads the stored value: the one parser of this layout, shared by
+/// [`decompress_into`] and the compressed-domain filter and aggregates.
+pub fn read(r: &mut Reader<'_>) -> Result<i32> {
+    r.i32()
 }
 
 /// Expands the stored value `count` times into `out`, reusing its capacity.
@@ -26,7 +26,7 @@ pub fn decompress_into(
     _scratch: &mut DecodeScratch,
     out: &mut Vec<i32>,
 ) -> Result<()> {
-    let v = r.i32()?;
+    let v = read(r)?;
     out.clear();
     out.resize(count, v);
     Ok(())
@@ -34,23 +34,21 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::{decode_int, encode_int};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip() {
         let values = vec![-77; 64_000];
-        let mut buf = Vec::new();
-        compress(&values, &mut buf);
-        assert_eq!(buf.len(), 4);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress(&mut r, values.len()).unwrap(), values);
+        let buf = encode_int(SchemeCode::OneValue, &values);
+        assert_eq!(buf.len(), 5 + 4);
+        assert_eq!(decode_int(&buf, &Config::default()).unwrap(), values);
     }
 
     #[test]
     fn zero_count() {
-        let mut buf = Vec::new();
-        compress(&[], &mut buf);
-        let mut r = Reader::new(&buf);
-        assert!(decompress(&mut r, 0).unwrap().is_empty());
+        let buf = encode_int(SchemeCode::OneValue, &[]);
+        assert!(decode_int(&buf, &Config::default()).unwrap().is_empty());
     }
 }

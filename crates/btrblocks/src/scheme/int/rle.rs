@@ -12,16 +12,9 @@ use crate::simd;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 
-/// Splits `values` into `(run_values, run_lengths)`.
-pub fn runs_of(values: &[i32]) -> (Vec<i32>, Vec<i32>) {
-    let mut run_values = Vec::new();
-    let mut run_lengths = Vec::new();
-    runs_of_into(values, &mut run_values, &mut run_lengths);
-    (run_values, run_lengths)
-}
-
-/// [`runs_of`] into caller-owned buffers (cleared first), so the encode path
-/// can lease the run arrays instead of allocating per block.
+/// Splits `values` into `(run_values, run_lengths)` in caller-owned buffers
+/// (cleared first), so the encode path can lease the run arrays instead of
+/// allocating per block.
 pub fn runs_of_into(values: &[i32], run_values: &mut Vec<i32>, run_lengths: &mut Vec<i32>) {
     run_values.clear();
     run_lengths.clear();
@@ -50,29 +43,27 @@ pub fn compress(
     runs_of_into(values, &mut run_values, &mut run_lengths);
     // lint: allow(cast) encode side: run count fits u32
     out.put_u32(run_values.len() as u32);
-    scheme::compress_int_into(&run_values, child_depth, cfg, scratch, out);
-    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&run_values, child_depth, cfg, scratch, out, None);
+    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out, None);
     scratch.release_i32(run_values);
     scratch.release_i32(run_lengths);
 }
 
-/// Decompresses an RLE block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses an RLE block of `count` values into `out`, leasing the run
-/// arrays from `scratch` and returning them on every exit path.
-pub fn decompress_into(
+/// Reads an RLE payload of `count` values and hands its validated runs to
+/// `f`: `values[i]` repeats `lengths[i]` times, both arrays have the stored
+/// run count, and the lengths sum to exactly `count`. The run arrays are
+/// leased from `scratch` and returned on every exit path.
+///
+/// This is the one parser of the RLE wire layout: [`decompress_into`]
+/// expands the runs, the compressed-domain filter and aggregates consume
+/// them directly.
+pub fn read_runs<T>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
     scratch: &mut DecodeScratch,
-    out: &mut Vec<i32>,
-) -> Result<()> {
+    f: impl FnOnce(&[i32], &[u32]) -> T,
+) -> Result<T> {
     let run_count = r.u32()? as usize;
     // Capacity hints only — the cascade fills to whatever the child frames
     // say. Clamp so a hostile run_count can't force a huge lease.
@@ -86,39 +77,59 @@ pub fn decompress_into(
         if run_values.len() != run_count || run_lengths.len() != run_count {
             return Err(Error::Corrupt("RLE run array length mismatch"));
         }
-        let mut total = 0usize;
-        lengths.clear();
-        for &l in run_lengths.iter() {
-            if l < 0 {
-                return Err(Error::Corrupt("negative RLE run length"));
-            }
-            total += l as usize;
-            // lint: allow(cast) l was checked non-negative above
-            lengths.push(l as u32);
-        }
-        if total != count {
-            return Err(Error::Corrupt("RLE total length mismatch"));
-        }
-        simd::rle_decode_i32_into(&run_values, &lengths, total, cfg.simd, out);
-        Ok(())
-    })();
+        validate_lengths(&run_lengths, count, &mut lengths)
+    })()
+    .map(|()| f(&run_values, &lengths));
     scratch.release_i32(run_values);
     scratch.release_i32(run_lengths);
     scratch.release_u32(lengths);
     result
 }
 
+/// Converts decoded run lengths to `u32` into `out` (cleared first),
+/// rejecting negative lengths and totals other than `count`. Shared by the
+/// integer and double RLE readers.
+pub(crate) fn validate_lengths(
+    run_lengths: &[i32],
+    count: usize,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    let mut total = 0usize;
+    out.clear();
+    for &l in run_lengths {
+        let len = u32::try_from(l).map_err(|_| Error::Corrupt("negative RLE run length"))?;
+        total += len as usize;
+        out.push(len);
+    }
+    if total != count {
+        return Err(Error::Corrupt("RLE total length mismatch"));
+    }
+    Ok(())
+}
+
+/// Decompresses an RLE block of `count` values into `out` with the
+/// vectorized splat-store kernel.
+pub fn decompress_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<i32>,
+) -> Result<()> {
+    read_runs(r, count, cfg, scratch, |values, lengths| {
+        simd::rle_decode_i32_into(values, lengths, count, cfg.simd, out)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
+    use crate::scheme::testutil::{decode_int, encode_int};
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[i32]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Rle, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
+        let buf = encode_int(SchemeCode::Rle, values);
+        assert_eq!(decode_int(&buf, &Config::default()).unwrap(), values);
     }
 
     #[test]
@@ -130,34 +141,28 @@ mod tests {
 
     #[test]
     fn runs_of_splits_correctly() {
-        let (v, l) = runs_of(&[3, 3, 8, 8, 8, 1]);
+        let (mut v, mut l) = (vec![9], vec![9]);
+        runs_of_into(&[3, 3, 8, 8, 8, 1], &mut v, &mut l);
         assert_eq!(v, vec![3, 8, 1]);
         assert_eq!(l, vec![2, 3, 1]);
-        let (v, l) = runs_of(&[]);
+        runs_of_into(&[], &mut v, &mut l);
         assert!(v.is_empty() && l.is_empty());
     }
 
     #[test]
     fn compresses_long_runs_well() {
-        let cfg = Config::default();
         let values: Vec<i32> = (0..64_000).map(|i| i / 1000).collect();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Rle, &values, 3, &cfg, &mut buf);
+        let buf = encode_int(SchemeCode::Rle, &values);
         assert!(buf.len() * 50 < values.len() * 4, "got {} bytes", buf.len());
     }
 
     #[test]
     fn corrupt_total_is_error() {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Rle, &[1, 1, 2], 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let code = r.u8().unwrap();
-        assert_eq!(code, SchemeCode::Rle as u8);
+        let buf = encode_int(SchemeCode::Rle, &[1, 1, 2]);
+        assert_eq!(buf[0], SchemeCode::Rle as u8);
         // Lie about the count in the frame.
         let mut tampered = buf.clone();
         tampered[1..5].copy_from_slice(&10u32.to_le_bytes());
-        let mut r = Reader::new(&tampered);
-        assert!(decompress_int(&mut r, &cfg).is_err());
+        assert!(decode_int(&tampered, &Config::default()).is_err());
     }
 }

@@ -3,8 +3,8 @@
 //! Every compressed block is framed as `[scheme code: u8][count: u32][payload]`.
 //! Scheme payloads embed *child blocks* with the same framing (e.g. RLE's
 //! value and run-length arrays), which is how cascading works: compression
-//! recursively calls [`compress_int`] / [`compress_double`] /
-//! [`compress_str`] with a decremented depth budget, and decompression
+//! recursively calls [`compress_int_into`] / [`compress_double_into`] /
+//! [`compress_str_into`] with a decremented depth budget, and decompression
 //! recurses by reading the child frames. Depth 0 always yields
 //! `Uncompressed`, bounding the recursion (paper §3.2).
 //!
@@ -16,10 +16,18 @@
 //! cascade level) and passed by reference into viability checks, analytic
 //! estimates, and the chosen scheme's compressor.
 //!
-//! The `*_into` entry points thread an [`EncodeScratch`] arena through the
-//! whole pipeline so sample gathers, candidate trial buffers, and scheme
-//! side-arrays are leased rather than allocated; the legacy allocate-fresh
-//! signatures remain as thin wrappers.
+//! Each type has exactly one encoder ([`compress_int_into`] with automatic
+//! selection, [`compress_int_with_into`] with a forced root) and one decoder
+//! ([`decompress_int_into`]), all threading a scratch arena so sample
+//! gathers, trial buffers, side-arrays and cascade temporaries are leased
+//! rather than allocated. Allocate-fresh conveniences exist only at block
+//! level ([`crate::block`]) and relation level ([`crate::relation`]).
+//!
+//! Each scheme module parses its own payload in one place: a validated
+//! reader (e.g. [`int::rle::read_runs`], `int::dict::read`,
+//! `int::frequency::read`) that its `decompress_into` is built on, and that
+//! the compressed-domain consumers ([`filter`], `btr-expr`'s aggregates)
+//! call instead of re-parsing the wire layout.
 
 pub mod double;
 pub mod filter;
@@ -227,42 +235,16 @@ fn sample_cap(n: usize, cfg: &Config) -> usize {
 // ------------------------------------------------------------------ integers
 
 /// Compresses an integer block with automatic scheme selection, appending a
-/// framed block to `out`. Returns the root scheme chosen.
-pub fn compress_int(values: &[i32], depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_int_excluding_into(values, depth, cfg, &mut scratch, out, None)
-}
-
-/// [`compress_int`] leasing all temporaries from `scratch`.
-pub fn compress_int_into(
-    values: &[i32],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) -> SchemeCode {
-    compress_int_excluding_into(values, depth, cfg, scratch, out, None)
-}
-
-/// Like [`compress_int`], but bans one scheme from the *root* choice. Used by
-/// schemes compressing their own outputs: a dictionary's code sequence must
-/// not immediately pick Dictionary again — the inner dictionary would be an
+/// framed block to `out` and leasing all temporaries from `scratch`. Returns
+/// the root scheme chosen. This is the cascade's workhorse: statistics are
+/// collected once (into a pooled map) and shared by selection and the chosen
+/// scheme's compressor.
+///
+/// `exclude` bans one scheme from the *root* choice. Schemes compressing
+/// their own outputs use it: a dictionary's code sequence must not
+/// immediately pick Dictionary again — the inner dictionary would be an
 /// identity mapping that burns cascade depth without shrinking anything.
-pub fn compress_int_excluding(
-    values: &[i32],
-    depth: u8,
-    cfg: &Config,
-    out: &mut Vec<u8>,
-    exclude: Option<SchemeCode>,
-) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_int_excluding_into(values, depth, cfg, &mut scratch, out, exclude)
-}
-
-/// [`compress_int_excluding`] leasing all temporaries from `scratch`. This
-/// is the cascade's workhorse: statistics are collected once (into a pooled
-/// map) and shared by selection and the chosen scheme's compressor.
-pub fn compress_int_excluding_into(
+pub fn compress_int_into(
     values: &[i32],
     depth: u8,
     cfg: &Config,
@@ -284,23 +266,18 @@ pub fn compress_int_excluding_into(
 
 /// Selects the best scheme for an integer block (paper Listing 1).
 pub fn pick_int(values: &[i32], depth: u8, cfg: &Config) -> Selection {
-    pick_int_excluding(values, depth, cfg, None)
-}
-
-/// [`pick_int`] with one scheme banned (see [`compress_int_excluding`]).
-pub fn pick_int_excluding(values: &[i32], depth: u8, cfg: &Config, exclude: Option<SchemeCode>) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
     let stats = IntegerStats::collect(values);
     let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_int(values, depth, cfg, exclude, &stats, &mut scratch, Some(&mut estimates));
+    let code = select_int(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
-/// Selection body shared by [`pick_int_excluding`] (which records estimates)
-/// and [`compress_int_excluding_into`] (which does not): OneValue shortcut,
+/// Selection body shared by [`pick_int`] (which records estimates) and
+/// [`compress_int_into`] (which does not): OneValue shortcut,
 /// sample gather into leased buffers, then the generic candidate loop with
 /// trial compressions reusing one leased output buffer.
 fn select_int(
@@ -359,13 +336,8 @@ fn select_int(
 }
 
 /// Compresses an integer block with a forced root scheme (used by selection
-/// itself, by ablation benchmarks, and by the Figure 5/6 harnesses).
-pub fn compress_int_with(code: SchemeCode, values: &[i32], depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_int_with_into(code, values, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_int_with`] leasing all temporaries from `scratch`.
+/// itself, by ablation benchmarks, and by the Figure 5/6 harnesses), leasing
+/// all temporaries from `scratch`.
 pub fn compress_int_with_into(
     code: SchemeCode,
     values: &[i32],
@@ -416,14 +388,6 @@ fn emit_int(
     }
 }
 
-/// Decompresses one framed integer block from `r` into a fresh vector.
-pub fn decompress_int(r: &mut Reader<'_>, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_int_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses one framed integer block from `r` into `out` (cleared
 /// first), leasing cascade temporaries from `scratch` instead of allocating.
 pub fn decompress_int_into(
@@ -447,40 +411,10 @@ pub fn decompress_int_into(
 
 // ------------------------------------------------------------------- doubles
 
-/// Compresses a double block with automatic scheme selection.
-pub fn compress_double(values: &[f64], depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_double_excluding_into(values, depth, cfg, &mut scratch, out, None)
-}
-
-/// [`compress_double`] leasing all temporaries from `scratch`.
+/// Compresses a double block with automatic scheme selection, leasing all
+/// temporaries from `scratch`, with statistics collected once and shared and
+/// `exclude` banned from the root choice (see [`compress_int_into`]).
 pub fn compress_double_into(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) -> SchemeCode {
-    compress_double_excluding_into(values, depth, cfg, scratch, out, None)
-}
-
-/// Like [`compress_double`], but bans one scheme from the root choice (see
-/// [`compress_int_excluding`] for why).
-pub fn compress_double_excluding(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    out: &mut Vec<u8>,
-    exclude: Option<SchemeCode>,
-) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_double_excluding_into(values, depth, cfg, &mut scratch, out, exclude)
-}
-
-/// [`compress_double_excluding`] leasing all temporaries from `scratch`,
-/// with statistics collected once and shared (see
-/// [`compress_int_excluding_into`]).
-pub fn compress_double_excluding_into(
     values: &[f64],
     depth: u8,
     cfg: &Config,
@@ -502,18 +436,13 @@ pub fn compress_double_excluding_into(
 
 /// Selects the best scheme for a double block.
 pub fn pick_double(values: &[f64], depth: u8, cfg: &Config) -> Selection {
-    pick_double_excluding(values, depth, cfg, None)
-}
-
-/// [`pick_double`] with one scheme banned.
-pub fn pick_double_excluding(values: &[f64], depth: u8, cfg: &Config, exclude: Option<SchemeCode>) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
     let stats = DoubleStats::collect(values);
     let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_double(values, depth, cfg, exclude, &stats, &mut scratch, Some(&mut estimates));
+    let code = select_double(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -568,13 +497,8 @@ fn select_double(
     code
 }
 
-/// Compresses a double block with a forced root scheme.
-pub fn compress_double_with(code: SchemeCode, values: &[f64], depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_double_with_into(code, values, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_double_with`] leasing all temporaries from `scratch`.
+/// Compresses a double block with a forced root scheme, leasing all
+/// temporaries from `scratch`.
 pub fn compress_double_with_into(
     code: SchemeCode,
     values: &[f64],
@@ -621,14 +545,6 @@ fn emit_double(
     }
 }
 
-/// Decompresses one framed double block from `r` into a fresh vector.
-pub fn decompress_double(r: &mut Reader<'_>, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_double_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses one framed double block from `r` into `out` (cleared first),
 /// leasing cascade temporaries from `scratch` instead of allocating.
 pub fn decompress_double_into(
@@ -651,14 +567,9 @@ pub fn decompress_double_into(
 
 // ------------------------------------------------------------------- strings
 
-/// Compresses a string block with automatic scheme selection.
-pub fn compress_str(arena: &StringArena, depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_str_into(arena, depth, cfg, &mut scratch, out)
-}
-
-/// [`compress_str`] leasing temporaries from `scratch`, with statistics
-/// collected once and shared. (String stats key a map by borrowed string
+/// Compresses a string block with automatic scheme selection, leasing
+/// temporaries from `scratch`, with statistics collected once and shared.
+/// (String stats key a map by borrowed string
 /// slices, whose lifetime ties it to `arena` — that map still allocates; the
 /// sample arena, trial buffer, and scheme side-arrays are pooled.)
 pub fn compress_str_into(
@@ -763,13 +674,8 @@ fn select_str(
     code
 }
 
-/// Compresses a string block with a forced root scheme.
-pub fn compress_str_with(code: SchemeCode, arena: &StringArena, depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_str_with_into(code, arena, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_str_with`] leasing all temporaries from `scratch`.
+/// Compresses a string block with a forced root scheme, leasing all
+/// temporaries from `scratch`.
 pub fn compress_str_with_into(
     code: SchemeCode,
     arena: &StringArena,
@@ -803,14 +709,6 @@ fn emit_str(
         SchemeCode::Fsst => str::fsst::compress(arena, child_depth, cfg, scratch, out),
         _ => unreachable!("scheme {code:?} is not a string scheme"),
     }
-}
-
-/// Decompresses one framed string block from `r` into fresh views.
-pub fn decompress_str(r: &mut Reader<'_>, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_str_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses one framed string block from `r` into `out` (its pool and
@@ -864,6 +762,76 @@ fn trivial_selection() -> Selection {
     Selection {
         code: SchemeCode::Uncompressed,
         estimates: vec![Estimate { code: SchemeCode::Uncompressed, ratio: 1.0 }],
+    }
+}
+
+/// Block-level encode/decode helpers shared by the per-scheme unit tests.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use crate::block::{compress_block_with, decompress_block, BlockRef};
+    use crate::config::Config;
+    use crate::scheme::SchemeCode;
+    use crate::types::{ColumnType, DecodedColumn, StringArena, StringViews};
+    use crate::Result;
+
+    /// Encodes `values` with root scheme `code` at the default depth.
+    pub fn encode_int(code: SchemeCode, values: &[i32]) -> Vec<u8> {
+        compress_block_with(code, BlockRef::Int(values), &Config::default())
+    }
+
+    /// See [`encode_int`].
+    pub fn encode_double(code: SchemeCode, values: &[f64]) -> Vec<u8> {
+        compress_block_with(code, BlockRef::Double(values), &Config::default())
+    }
+
+    /// See [`encode_int`].
+    pub fn encode_str(code: SchemeCode, strings: &[&str]) -> Vec<u8> {
+        let arena = StringArena::from_strs(strings);
+        compress_block_with(code, BlockRef::Str(&arena), &Config::default())
+    }
+
+    /// Decodes an integer block.
+    pub fn decode_int(bytes: &[u8], cfg: &Config) -> Result<Vec<i32>> {
+        match decompress_block(bytes, ColumnType::Integer, cfg)? {
+            DecodedColumn::Int(v) => Ok(v),
+            other => panic!("wrong type: {other:?}"),
+        }
+    }
+
+    /// Decodes a double block.
+    pub fn decode_double(bytes: &[u8], cfg: &Config) -> Result<Vec<f64>> {
+        match decompress_block(bytes, ColumnType::Double, cfg)? {
+            DecodedColumn::Double(v) => Ok(v),
+            other => panic!("wrong type: {other:?}"),
+        }
+    }
+
+    /// Decodes a string block.
+    pub fn decode_str(bytes: &[u8], cfg: &Config) -> Result<StringViews> {
+        match decompress_block(bytes, ColumnType::String, cfg)? {
+            DecodedColumn::Str(v) => Ok(v),
+            other => panic!("wrong type: {other:?}"),
+        }
+    }
+
+    /// Asserts bitwise equality of two double slices.
+    pub fn assert_bits_eq(want: &[f64], got: &[f64]) {
+        assert_eq!(want.len(), got.len());
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "index {i}: {a} vs {b}");
+        }
+    }
+
+    /// Encodes `strings` with `code`, decodes, and checks every value.
+    /// Returns the encoded size.
+    pub fn roundtrip_str(code: SchemeCode, strings: &[&str]) -> usize {
+        let buf = encode_str(code, strings);
+        let out = decode_str(&buf, &Config::default()).unwrap();
+        assert_eq!(out.len(), strings.len());
+        for (i, s) in strings.iter().enumerate() {
+            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
+        }
+        buf.len()
     }
 }
 

@@ -12,7 +12,7 @@
 //! skipping the intermediate code array entirely.
 
 use crate::config::Config;
-use crate::scheme::{self, SchemeCode};
+use crate::scheme::{self, int, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
 use crate::types::{StringArena, StringViews};
@@ -20,17 +20,10 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary arena, codes)` in first-occurrence order.
-pub fn encode_dict(arena: &StringArena) -> (StringArena, Vec<i32>) {
-    let mut dict = StringArena::new();
-    let mut codes = Vec::with_capacity(arena.len());
-    encode_dict_into(arena, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (cleared first). The lookup map
-/// keys borrow from `arena`, so it stays function-local — the one allocation
-/// the string dictionary keeps on the encode path.
+/// Builds `(dictionary arena, codes)` in first-occurrence order into
+/// caller-owned buffers (cleared first). The lookup map keys borrow from
+/// `arena`, so it stays function-local — the one allocation the string
+/// dictionary keeps on the encode path.
 pub fn encode_dict_into(arena: &StringArena, dict: &mut StringArena, codes: &mut Vec<i32>) {
     let mut map: FxHashMap<&[u8], i32> =
         FxHashMap::with_capacity_and_hasher(arena.len() / 4 + 1, Default::default());
@@ -60,7 +53,7 @@ pub fn compress(
     let mut codes = scratch.lease_i32(arena.len());
     encode_dict_into(arena, &mut dict, &mut codes);
     write_dict(&dict, out);
-    scheme::compress_int_excluding_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
+    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     scratch.release_arena(dict);
     scratch.release_i32(codes);
 }
@@ -72,14 +65,6 @@ pub(crate) fn write_dict(dict: &StringArena, out: &mut Vec<u8>) {
     out.put_u32(dict.bytes.len() as u32);
     out.extend_from_slice(&dict.bytes);
     out.put_u32_slice(&dict.offsets);
-}
-
-pub(crate) fn read_dict(r: &mut Reader<'_>) -> Result<(Vec<u8>, Vec<u64>)> {
-    let mut scratch = DecodeScratch::new();
-    let mut pool = Vec::new();
-    let mut views = Vec::new();
-    read_dict_into(r, &mut scratch, &mut pool, &mut views)?;
-    Ok((pool, views))
 }
 
 /// Reads a serialized dictionary into reusable `pool`/`views` buffers,
@@ -114,22 +99,15 @@ pub(crate) fn read_dict_into(
     result
 }
 
-/// Decodes a cascaded code sequence into views, fusing RLE+Dict when the
-/// child block is RLE with long runs.
-pub(crate) fn decode_codes_to_views(
-    r: &mut Reader<'_>,
-    count: usize,
-    cfg: &Config,
-    dict_views: &[u64],
-) -> Result<Vec<u64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decode_codes_to_views_into(r, count, cfg, dict_views, &mut scratch, &mut out)?;
-    Ok(out)
-}
+/// A dictionary reader: fills a pool and its per-entry views from `r`.
+/// [`read_dict_into`] for plain dictionaries, the FSST-decoding reader of
+/// [`super::dict_fsst`] for Dict+FSST.
+pub(crate) type DictReader =
+    fn(&mut Reader<'_>, &mut DecodeScratch, &mut Vec<u8>, &mut Vec<u64>) -> Result<()>;
 
-/// [`decode_codes_to_views`] decoding into `out` with scratch-leased
-/// temporaries (the fused path's run arrays, the generic path's code arrays).
+/// Decodes a cascaded code sequence into views, fusing RLE+Dict when the
+/// child block is RLE with long runs. Temporaries (the fused path's run
+/// views, the generic path's codes) are leased from `scratch`.
 pub(crate) fn decode_codes_to_views_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -142,79 +120,98 @@ pub(crate) fn decode_codes_to_views_into(
     let mut peek = r.clone();
     let (child_code, child_count) = scheme::read_frame_header(&mut peek, cfg)?;
     if child_code == SchemeCode::Rle {
-        let run_count = peek.u32()? as usize;
+        let run_count = peek.clone().u32()? as usize;
         if child_count == count
             && run_count > 0
             && count as f64 / run_count as f64 > cfg.fused_rle_dict_min_run
         {
-            let hint = run_count.min(count);
-            let mut run_values = scratch.lease_i32(hint);
-            let mut run_lengths = scratch.lease_i32(hint);
-            let mut run_views = scratch.lease_u64(hint);
-            let mut lengths = scratch.lease_u32(hint);
-            let result = (|| -> Result<()> {
-                scheme::decompress_int_into(&mut peek, cfg, scratch, &mut run_values)?;
-                scheme::decompress_int_into(&mut peek, cfg, scratch, &mut run_lengths)?;
-                if run_values.len() != run_count || run_lengths.len() != run_count {
-                    return Err(Error::Corrupt("fused RLE run array mismatch"));
-                }
+            let mut run_views = scratch.lease_u64(run_count.min(count));
+            let result = int::rle::read_runs(&mut peek, count, cfg, scratch, |codes, lengths| {
                 // Dictionary lookup per run, then splat-store the views.
-                let mut total = 0usize;
                 run_views.clear();
-                lengths.clear();
-                for (&code, &len) in run_values.iter().zip(run_lengths.iter()) {
-                    if code < 0 || code as usize >= dict_views.len() || len < 0 {
-                        return Err(Error::Corrupt("fused RLE dict code out of range"));
-                    }
-                    // lint: allow(indexing) code was range-checked against dict_views.len() above
-                    run_views.push(dict_views[code as usize]);
-                    // lint: allow(cast) len was checked non-negative above
-                    lengths.push(len as u32);
-                    total += len as usize;
+                for &code in codes {
+                    let view = usize::try_from(code).ok().and_then(|c| dict_views.get(c));
+                    run_views.push(*view.ok_or(Error::Corrupt("dict code out of range"))?);
                 }
-                if total != count {
-                    return Err(Error::Corrupt("fused RLE total mismatch"));
-                }
-                *r = peek;
-                simd::rle_decode_u64_into(&run_views, &lengths, total, cfg.simd, out);
+                simd::rle_decode_u64_into(&run_views, lengths, count, cfg.simd, out);
                 Ok(())
-            })();
-            scratch.release_i32(run_values);
-            scratch.release_i32(run_lengths);
+            })
+            .and_then(|decoded| decoded);
             scratch.release_u64(run_views);
-            scratch.release_u32(lengths);
+            if result.is_ok() {
+                *r = peek;
+            }
             return result;
         }
     }
     // Generic path: decode codes, then gather views.
-    let mut codes = scratch.lease_i32(count);
-    let mut codes_u32 = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
-        if codes.len() != count {
-            return Err(Error::Corrupt("string dict code count mismatch"));
-        }
-        codes_u32.clear();
-        for &c in codes.iter() {
-            if c < 0 || c as usize >= dict_views.len() {
-                return Err(Error::Corrupt("string dict code out of range"));
-            }
-            // lint: allow(cast) c was range-checked non-negative and < dict len above
-            codes_u32.push(c as u32);
-        }
-        simd::dict_decode_u64_into(&codes_u32, dict_views, cfg.simd, out);
-        Ok(())
-    })();
-    scratch.release_i32(codes);
-    scratch.release_u32(codes_u32);
+    let mut codes = scratch.lease_u32(count);
+    let result = int::dict::read_codes_into(r, count, dict_views.len(), cfg, scratch, &mut codes)
+        .map(|()| simd::dict_decode_u64_into(&codes, dict_views, cfg.simd, out));
+    scratch.release_u32(codes);
     result
 }
 
-/// Decompresses a dictionary block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let (pool, dict_views) = read_dict(r)?;
-    let views = decode_codes_to_views(r, count, cfg, &dict_views)?;
-    Ok(StringViews { pool, views })
+/// Reads a dictionary-coded string payload of `count` values (dictionary via
+/// `read_dict`, then the code sequence) and hands the dictionary and the
+/// validated codes (`count` codes, each `< dict.len()`) to `f`. The
+/// dictionary and code buffers are leased from `scratch`.
+pub(crate) fn read_coded<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    read_dict: DictReader,
+    f: impl FnOnce(&StringViews, &[u32]) -> T,
+) -> Result<T> {
+    let dict_n = r.clone().u32()? as usize;
+    let mut dict = StringViews {
+        pool: scratch.lease_u8(0),
+        views: scratch.lease_u64(dict_n.min(r.remaining() / 4)),
+    };
+    let mut codes = scratch.lease_u32(count);
+    let result = read_dict(r, scratch, &mut dict.pool, &mut dict.views)
+        .and_then(|()| int::dict::read_codes_into(r, count, dict.len(), cfg, scratch, &mut codes))
+        .map(|()| f(&dict, &codes));
+    scratch.recycle_views(dict);
+    scratch.release_u32(codes);
+    result
+}
+
+/// Decompresses a dictionary-coded string payload of `count` values into
+/// `out`: the dictionary (via `read_dict`) lands in `out.pool` directly, and
+/// the codes become views into it.
+pub(crate) fn decompress_coded_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    out: &mut StringViews,
+    read_dict: DictReader,
+) -> Result<()> {
+    // Peek the entry count for a sized lease (a 0-cap lease would grab the
+    // largest pooled u64 buffer, starving the fused path's run views).
+    let dict_n = r.clone().u32()? as usize;
+    let mut dict_views = scratch.lease_u64(dict_n.min(r.remaining() / 4));
+    let result = read_dict(r, scratch, &mut out.pool, &mut dict_views).and_then(|()| {
+        decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
+    });
+    scratch.release_u64(dict_views);
+    result
+}
+
+/// Reads a dictionary block of `count` strings and hands the dictionary and
+/// its validated codes to `f`: the one parser of this layout besides the
+/// view-producing [`decompress_into`], used by the compressed-domain filter
+/// to evaluate a predicate once per distinct string.
+pub(crate) fn read<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    f: impl FnOnce(&StringViews, &[u32]) -> T,
+) -> Result<T> {
+    read_coded(r, count, cfg, scratch, read_dict_into, f)
 }
 
 /// Decompresses a dictionary block of `count` strings into `out`, reusing
@@ -226,34 +223,16 @@ pub fn decompress_into(
     scratch: &mut DecodeScratch,
     out: &mut StringViews,
 ) -> Result<()> {
-    // Peek the entry count for a sized lease (a 0-cap lease would grab the
-    // largest pooled u64 buffer, starving the fused path's run views).
-    let dict_n = r.clone().u32()? as usize;
-    let mut dict_views = scratch.lease_u64(dict_n.min(r.remaining() / 4));
-    let result = (|| -> Result<()> {
-        read_dict_into(r, scratch, &mut out.pool, &mut dict_views)?;
-        decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
-    })();
-    scratch.release_u64(dict_views);
-    result
+    decompress_coded_into(r, count, cfg, scratch, out, read_dict_into)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_str_with, decompress_str};
+    use crate::scheme::testutil::{decode_str, encode_str, roundtrip_str};
 
     fn roundtrip(strings: &[&str]) {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
+        roundtrip_str(SchemeCode::Dict, strings);
     }
 
     #[test]
@@ -277,17 +256,12 @@ mod tests {
     #[test]
     fn fused_and_scalar_agree() {
         let strings: Vec<&str> = (0..2000).map(|i| ["x", "yy", "zzz"][(i / 100) % 3]).collect();
-        let arena = StringArena::from_strs(&strings);
-        let mut buf = Vec::new();
-        let cfg = Config::default();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
+        let buf = encode_str(SchemeCode::Dict, &strings);
         // Fusion enabled (default threshold 3).
-        let mut r = Reader::new(&buf);
-        let fused = decompress_str(&mut r, &cfg).unwrap();
+        let fused = decode_str(&buf, &Config::default()).unwrap();
         // Fusion disabled via an impossible threshold.
         let no_fuse = Config { fused_rle_dict_min_run: f64::INFINITY, ..Config::default() };
-        let mut r = Reader::new(&buf);
-        let plain = decompress_str(&mut r, &no_fuse).unwrap();
+        let plain = decode_str(&buf, &no_fuse).unwrap();
         assert_eq!(fused.iter().collect::<Vec<_>>(), plain.iter().collect::<Vec<_>>());
     }
 
@@ -299,10 +273,8 @@ mod tests {
     #[test]
     fn dict_smaller_than_raw_on_repetition() {
         let strings: Vec<&str> = (0..10_000).map(|_| "a rather long repeated string value").collect();
+        let buf = encode_str(SchemeCode::Dict, &strings);
         let arena = StringArena::from_strs(&strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
         assert!(buf.len() * 100 < arena.heap_size(), "got {} bytes", buf.len());
     }
 }

@@ -12,7 +12,8 @@
 //! RLE+Dict fast path).
 
 use crate::config::Config;
-use crate::scheme;
+use super::dict;
+use crate::scheme::{self, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
@@ -51,14 +52,7 @@ pub fn compress(
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
     out.put_u32_slice(&lengths);
-    scheme::compress_int_excluding_into(
-        &codes,
-        child_depth,
-        cfg,
-        scratch,
-        out,
-        Some(crate::scheme::SchemeCode::Dict),
-    );
+    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     drop(dict_strings);
     scratch.release_arena(dict);
     scratch.release_i32(codes);
@@ -66,18 +60,64 @@ pub fn compress(
     scratch.release_u32(lengths);
 }
 
-/// Decompresses a Dict+FSST block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
+/// Reads a Dict+FSST dictionary into reusable `pool`/`views` buffers: one
+/// FSST call decodes the whole pool, and the stored uncompressed lengths
+/// become `(offset, len)` views. The length temporary is leased from
+/// `scratch`; the symbol table itself still deserializes into fresh storage —
+/// the one allocation this scheme keeps.
+fn read_dict_into(
+    r: &mut Reader<'_>,
+    scratch: &mut DecodeScratch,
+    pool: &mut Vec<u8>,
+    views: &mut Vec<u64>,
+) -> Result<()> {
+    let dict_n = r.u32()? as usize;
+    let table_len = r.u32()? as usize;
+    let table = SymbolTable::deserialize(r.take(table_len)?)?;
+    let comp_len = r.u32()? as usize;
+    let compressed = r.take(comp_len)?;
+    // Capacity hint only — clamp so a hostile dict_n can't force a huge
+    // lease before `take` inside `u32_vec_into` rejects the stream.
+    let mut lengths = scratch.lease_u32(dict_n.min(r.remaining() / 4));
+    let result = (|| -> Result<()> {
+        r.u32_vec_into(dict_n, &mut lengths)?;
+        // Single FSST call for the whole dictionary pool (decompress appends).
+        pool.clear();
+        table.decompress(compressed, pool)?;
+        views.clear();
+        views.reserve(dict_n);
+        // Accumulate in u32 with checked adds: hostile lengths summing past
+        // u32::MAX must be a corruption error, not a silently truncated view.
+        let mut off = 0u32;
+        for &l in lengths.iter() {
+            views.push(StringViews::pack(off, l));
+            off = off
+                .checked_add(l)
+                .ok_or(Error::Corrupt("dict+fsst pool length overflow"))?;
+        }
+        if off as usize != pool.len() {
+            return Err(Error::Corrupt("dict+fsst pool length mismatch"));
+        }
+        Ok(())
+    })();
+    scratch.release_u32(lengths);
+    result
+}
+
+/// Reads a Dict+FSST block of `count` strings and hands the decoded
+/// dictionary and its validated codes to `f` (see [`super::dict::read`]).
+pub(crate) fn read<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    f: impl FnOnce(&StringViews, &[u32]) -> T,
+) -> Result<T> {
+    dict::read_coded(r, count, cfg, scratch, read_dict_into, f)
 }
 
 /// Decompresses a Dict+FSST block of `count` strings into `out`, reusing its
-/// pool/view buffers and leasing the length and dictionary-view temporaries
-/// from `scratch`. The symbol table itself still deserializes into fresh
-/// storage — the one allocation this scheme keeps.
+/// pool/view buffers and leasing the dictionary temporaries from `scratch`.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -85,59 +125,16 @@ pub fn decompress_into(
     scratch: &mut DecodeScratch,
     out: &mut StringViews,
 ) -> Result<()> {
-    let dict_n = r.u32()? as usize;
-    let table_len = r.u32()? as usize;
-    let table = SymbolTable::deserialize(r.take(table_len)?)?;
-    let comp_len = r.u32()? as usize;
-    let compressed = r.take(comp_len)?;
-    // Capacity hints only — clamp so a hostile dict_n can't force a huge
-    // lease before `take` inside `u32_vec_into` rejects the stream.
-    let hint = dict_n.min(r.remaining() / 4);
-    let mut lengths = scratch.lease_u32(hint);
-    let mut dict_views = scratch.lease_u64(hint);
-    let result = (|| -> Result<()> {
-        r.u32_vec_into(dict_n, &mut lengths)?;
-        // Single FSST call for the whole dictionary pool (decompress appends).
-        out.pool.clear();
-        table.decompress(compressed, &mut out.pool)?;
-        dict_views.clear();
-        dict_views.reserve(dict_n);
-        // Accumulate in u32 with checked adds: hostile lengths summing past
-        // u32::MAX must be a corruption error, not a silently truncated view.
-        let mut off = 0u32;
-        for &l in lengths.iter() {
-            dict_views.push(StringViews::pack(off, l));
-            off = off
-                .checked_add(l)
-                .ok_or(Error::Corrupt("dict+fsst pool length overflow"))?;
-        }
-        if off as usize != out.pool.len() {
-            return Err(Error::Corrupt("dict+fsst pool length mismatch"));
-        }
-        super::dict::decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
-    })();
-    scratch.release_u32(lengths);
-    scratch.release_u64(dict_views);
-    result
+    dict::decompress_coded_into(r, count, cfg, scratch, out, read_dict_into)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_str_with, decompress_str, SchemeCode};
+    use crate::scheme::testutil::{encode_str, roundtrip_str};
 
     fn roundtrip(strings: &[&str]) -> usize {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::DictFsst, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
-        buf.len()
+        roundtrip_str(SchemeCode::DictFsst, strings)
     }
 
     #[test]
@@ -159,12 +156,8 @@ mod tests {
             .map(|i| format!("5777 E MAYO BLVD BUILDING {} PHOENIX ARIZONA", i % 2000))
             .collect();
         let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
-        let arena = StringArena::from_strs(&refs);
-        let cfg = Config::default();
-        let mut plain = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut plain);
-        let mut fsst = Vec::new();
-        compress_str_with(SchemeCode::DictFsst, &arena, 3, &cfg, &mut fsst);
+        let plain = encode_str(SchemeCode::Dict, &refs);
+        let fsst = encode_str(SchemeCode::DictFsst, &refs);
         assert!(
             fsst.len() < plain.len(),
             "dict+fsst ({}) should beat dict ({})",

@@ -44,17 +44,9 @@ pub fn compress(
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
-    scheme::compress_int_into(&lengths, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&lengths, child_depth, cfg, scratch, out, None);
     scratch.release_u8(compressed);
     scratch.release_i32(lengths);
-}
-
-/// Decompresses an FSST block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses an FSST block of `count` strings into `out`, reusing its
@@ -105,21 +97,11 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_str_with, decompress_str, SchemeCode};
+    use crate::scheme::testutil::roundtrip_str;
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(strings: &[&str]) -> usize {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Fsst, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
-        buf.len()
+        roundtrip_str(SchemeCode::Fsst, strings)
     }
 
     #[test]

@@ -15,15 +15,15 @@ pub fn compress(arena: &StringArena, out: &mut Vec<u8>) {
     out.extend_from_slice(s);
 }
 
-/// Expands the stored string `count` times (all views share one pool entry).
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
+/// Reads the stored string: the one parser of this layout, shared by
+/// [`decompress_into`] and the compressed-domain filter.
+pub(crate) fn read<'a>(r: &mut Reader<'a>) -> Result<&'a [u8]> {
+    let len = r.u32()?;
+    r.take(len as usize)
 }
 
-/// Expands the stored string `count` times into `out`, reusing its buffers.
+/// Expands the stored string `count` times into `out` (all views share one
+/// pool entry), reusing its buffers.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -31,8 +31,9 @@ pub fn decompress_into(
     _scratch: &mut DecodeScratch,
     out: &mut StringViews,
 ) -> Result<()> {
-    let len = r.u32()?;
-    let bytes = r.take(len as usize)?;
+    let bytes = read(r)?;
+    // lint: allow(cast) bytes came off a u32 length field
+    let len = bytes.len() as u32;
     out.pool.clear();
     out.pool.extend_from_slice(bytes);
     out.views.clear();
@@ -42,27 +43,25 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::{decode_str, encode_str};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip() {
-        let arena = StringArena::from_strs(&["CABLE"; 100]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
-        assert_eq!(buf.len(), 4 + 5);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, 100).unwrap();
+        let buf = encode_str(SchemeCode::OneValue, &["CABLE"; 100]);
+        assert_eq!(buf.len(), 5 + 4 + 5);
+        let out = decode_str(&buf, &Config::default()).unwrap();
         assert_eq!(out.len(), 100);
         assert!(out.iter().all(|s| s == b"CABLE"));
     }
 
     #[test]
     fn empty_string_block() {
-        let arena = StringArena::from_strs(&["", ""]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, 2).unwrap();
-        assert!(out.iter().all(|s| s.is_empty()));
+        let out = decode_str(
+            &encode_str(SchemeCode::OneValue, &["", ""]),
+            &Config::default(),
+        );
+        assert!(out.unwrap().iter().all(|s| s.is_empty()));
     }
 }

@@ -119,24 +119,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        self.u32_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
-    pub fn i32_vec(&mut self, count: usize) -> Result<Vec<i32>> {
-        let mut out = Vec::new();
-        self.i32_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
-    pub fn f64_vec(&mut self, count: usize) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.f64_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
     /// Reads `count` little-endian u32s into `out`, clearing it first.
     /// Reuses `out`'s existing capacity — the zero-allocation decode path's
     /// primitive reader. `out` is left empty on error.
@@ -214,9 +196,14 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 123_456);
         assert_eq!(r.i32().unwrap(), -99);
         assert_eq!(r.f64().unwrap(), 2.5);
-        assert_eq!(r.i32_vec(3).unwrap(), vec![1, -2, 3]);
-        assert_eq!(r.f64_vec(2).unwrap(), vec![0.5, -0.5]);
-        assert_eq!(r.u32_vec(2).unwrap(), vec![10, 20]);
+        let (mut ints, mut doubles, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        r.i32_vec_into(3, &mut ints).unwrap();
+        r.f64_vec_into(2, &mut doubles).unwrap();
+        r.u32_vec_into(2, &mut words).unwrap();
+        assert_eq!(
+            (ints, doubles, words),
+            (vec![1, -2, 3], vec![0.5, -0.5], vec![10, 20])
+        );
         assert!(r.rest().is_empty());
     }
 
@@ -240,6 +227,6 @@ mod tests {
         let mut r = Reader::new(&[1, 2]);
         assert!(r.u32().is_err());
         assert_eq!(r.u8().unwrap(), 1);
-        assert!(r.i32_vec(1).is_err());
+        assert!(r.i32_vec_into(1, &mut Vec::new()).is_err());
     }
 }

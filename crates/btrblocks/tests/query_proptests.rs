@@ -4,10 +4,11 @@
 //! matching block. Deterministic (seeded xorshift) so runs reproduce offline.
 
 use btr_corrupt::rng::Xorshift;
-use btrblocks::block::{compress_block_with, BlockRef};
+use btrblocks::block::{compress_block_with, decompress_block, peek_count, BlockRef};
 use btrblocks::metadata::{pruned_filter, Sidecar};
 use btrblocks::{
-    filter_block, CmpOp, Column, ColumnData, Config, Literal, Relation, SchemeCode, StringArena,
+    filter_block, filter_decoded, CmpOp, Column, ColumnData, ColumnType, Config, DecodeScratch,
+    Literal, Relation, SchemeCode, StringArena,
 };
 
 const OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
@@ -55,6 +56,7 @@ fn word(rng: &mut Xorshift) -> String {
 #[test]
 fn int_pushdown_matches_reference() {
     let mut rng = Xorshift::new(0x61);
+    let mut scratch = DecodeScratch::new();
     for case in 0..CASES {
         let values = arb_ints(&mut rng);
         let lit = rng.gen_range(-20i32..20);
@@ -74,9 +76,9 @@ fn int_pushdown_matches_reference() {
             SchemeCode::FastBp128,
         ] {
             let bytes = compress_block_with(code, BlockRef::Int(&values), &cfg);
-            let got =
-                filter_block(&bytes, btrblocks::ColumnType::Integer, op, &Literal::Int(lit), &cfg)
-                    .unwrap();
+            let lit = Literal::Int(lit);
+            let got = filter_block(&bytes, ColumnType::Integer, op, &lit, &cfg, &mut scratch)
+                .unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 expected,
@@ -89,6 +91,7 @@ fn int_pushdown_matches_reference() {
 #[test]
 fn double_pushdown_matches_reference() {
     let mut rng = Xorshift::new(0x62);
+    let mut scratch = DecodeScratch::new();
     for case in 0..CASES {
         let len = rng.gen_range(0..600usize);
         let values: Vec<f64> = (0..len)
@@ -116,14 +119,9 @@ fn double_pushdown_matches_reference() {
             SchemeCode::Pseudodecimal,
         ] {
             let bytes = compress_block_with(code, BlockRef::Double(&values), &cfg);
-            let got = filter_block(
-                &bytes,
-                btrblocks::ColumnType::Double,
-                op,
-                &Literal::Double(lit),
-                &cfg,
-            )
-            .unwrap();
+            let lit = Literal::Double(lit);
+            let got = filter_block(&bytes, ColumnType::Double, op, &lit, &cfg, &mut scratch)
+                .unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 expected,
@@ -136,6 +134,7 @@ fn double_pushdown_matches_reference() {
 #[test]
 fn string_pushdown_matches_reference() {
     let mut rng = Xorshift::new(0x63);
+    let mut scratch = DecodeScratch::new();
     for case in 0..CASES {
         let count = rng.gen_range(0..400usize);
         let words: Vec<String> = (0..count).map(|_| word(&mut rng)).collect();
@@ -157,14 +156,9 @@ fn string_pushdown_matches_reference() {
             SchemeCode::Fsst,
         ] {
             let bytes = compress_block_with(code, BlockRef::Str(&arena), &cfg);
-            let got = filter_block(
-                &bytes,
-                btrblocks::ColumnType::String,
-                op,
-                &Literal::Str(lit_b.to_vec()),
-                &cfg,
-            )
-            .unwrap();
+            let lit = Literal::Str(lit_b.to_vec());
+            let got = filter_block(&bytes, ColumnType::String, op, &lit, &cfg, &mut scratch)
+                .unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 expected,
@@ -172,6 +166,103 @@ fn string_pushdown_matches_reference() {
             );
         }
     }
+}
+
+/// Every way to damage a frame that the parity test tries: relabelled row
+/// counts (smaller, larger, zero, absurd), every truncation, and 1–3
+/// trailing bytes.
+fn damaged_frames(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let count = peek_count(bytes).unwrap() as u32;
+    let mut out = Vec::new();
+    for relabel in [0, 1, 10, count.saturating_sub(1), count + 1, count * 2, u32::MAX] {
+        let mut b = bytes.to_vec();
+        b[1..5].copy_from_slice(&relabel.to_le_bytes());
+        out.push(b);
+    }
+    out.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+    for extra in 1..=3 {
+        let mut b = bytes.to_vec();
+        b.extend(std::iter::repeat_n(0u8, extra));
+        out.push(b);
+    }
+    out
+}
+
+/// The compressed-domain filter parses frames through the same validated
+/// readers as the decoder: on any damaged frame of a fast-path scheme it
+/// fails whenever `decompress_block` fails, and otherwise returns exactly
+/// `filter_decoded(decompress_block(..))`, never a row at or past the
+/// frame's count.
+#[test]
+fn damaged_fast_path_frames_filter_like_decode() {
+    let cfg = Config::default();
+    let mut scratch = DecodeScratch::new();
+    let runs: Vec<i32> = (0..3000).map(|i| i / 100).collect();
+    let skewed: Vec<i32> = (0..3000).map(|i| if i % 37 == 0 { i / 37 } else { 5 }).collect();
+    let ints = |code| match code {
+        SchemeCode::OneValue => vec![7; 3000],
+        SchemeCode::Frequency => skewed.clone(),
+        _ => runs.clone(),
+    };
+    let words = ["ab", "ba", "abc", "b"];
+    let strings: Vec<&str> = (0..600).map(|i| words[(i / 50) % 4]).collect();
+    let one_string = vec!["ab"; 600];
+    let mut blocks = Vec::new();
+    for code in [SchemeCode::OneValue, SchemeCode::Rle, SchemeCode::Dict, SchemeCode::Frequency] {
+        let values = ints(code);
+        let doubles: Vec<f64> = values.iter().map(|&v| f64::from(v) * 0.5).collect();
+        let int_block = compress_block_with(code, BlockRef::Int(&values), &cfg);
+        let double_block = compress_block_with(code, BlockRef::Double(&doubles), &cfg);
+        blocks.push((code, ColumnType::Integer, int_block));
+        blocks.push((code, ColumnType::Double, double_block));
+    }
+    for code in [SchemeCode::OneValue, SchemeCode::Dict, SchemeCode::DictFsst] {
+        let src = if code == SchemeCode::OneValue { &one_string } else { &strings };
+        let arena = StringArena::from_strs(src);
+        let block = compress_block_with(code, BlockRef::Str(&arena), &cfg);
+        blocks.push((code, ColumnType::String, block));
+    }
+    for (code, ty, bytes) in &blocks {
+        assert!(btrblocks::has_fast_path(*ty, *code), "{ty:?} {code:?}");
+        let literal = match ty {
+            ColumnType::Integer => Literal::Int(5),
+            ColumnType::Double => Literal::Double(2.5),
+            ColumnType::String => Literal::Str(b"ab".to_vec()),
+        };
+        for (i, damaged) in damaged_frames(bytes).iter().enumerate() {
+            let decoded = decompress_block(damaged, *ty, &cfg);
+            for op in OPS {
+                let got = filter_block(damaged, *ty, op, &literal, &cfg, &mut scratch);
+                let ctx = format!("{ty:?} {code:?} damage #{i} op {op:?}");
+                match &decoded {
+                    Err(_) => assert!(got.is_err(), "{ctx}: decode fails, filter gave {got:?}"),
+                    Ok(col) => {
+                        let got = got.unwrap_or_else(|e| panic!("{ctx}: filter failed: {e:?}"));
+                        let want = filter_decoded(col, op, &literal).unwrap();
+                        assert_eq!(got, want, "{ctx}");
+                        let frame_count = peek_count(damaged).unwrap() as u32;
+                        assert!(got.iter().all(|row| row < frame_count), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pruned_filter_rejects_sidecar_row_counts_that_disagree_with_blocks() {
+    let cfg = Config { block_size: 100, ..Config::default() };
+    let rel = Relation::new(vec![Column::new("x", ColumnData::Int((0..1000).collect()))]);
+    let compressed = btrblocks::compress(&rel, &cfg).unwrap();
+    let good = Sidecar::build(&rel, cfg.block_size);
+    let lit = Literal::Int(0);
+    assert!(pruned_filter(&compressed, &good, "x", CmpOp::Ge, &lit, &cfg).is_ok());
+    // Shift one row from block 0 to block 1: the counts still sum to the
+    // relation's rows, but block 0's matches would land in block 1's range.
+    let mut bad = good.clone();
+    bad.columns[0].block_rows[0] -= 1;
+    bad.columns[0].block_rows[1] += 1;
+    assert!(pruned_filter(&compressed, &bad, "x", CmpOp::Ge, &lit, &cfg).is_err());
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use btrblocks_repro::btrblocks::metadata::{pruned_filter, Sidecar};
 use btrblocks_repro::btrblocks::{
-    self, filter_block, CmpOp, Column, ColumnData, Config, Literal, Relation,
+    self, filter_block, CmpOp, Column, ColumnData, Config, DecodeScratch, Literal, Relation,
 };
 use std::time::Instant;
 
@@ -61,8 +61,10 @@ fn main() {
     let status_col = &compressed.columns[1];
     let started = Instant::now();
     let mut hits = 0u64;
+    let mut scratch = DecodeScratch::new();
+    let (ty, lit) = (status_col.column_type, Literal::Int(404));
     for block in &status_col.blocks {
-        hits += filter_block(block, status_col.column_type, CmpOp::Eq, &Literal::Int(404), &cfg)
+        hits += filter_block(block, ty, CmpOp::Eq, &lit, &cfg, &mut scratch)
             .expect("filter")
             .cardinality();
     }
@@ -89,8 +91,9 @@ fn main() {
     // 3. Range predicate on doubles.
     let amount_col = &compressed.columns[2];
     let mut over = 0u64;
+    let (ty, lit) = (amount_col.column_type, Literal::Double(99.0));
     for block in &amount_col.blocks {
-        over += filter_block(block, amount_col.column_type, CmpOp::Gt, &Literal::Double(99.0), &cfg)
+        over += filter_block(block, ty, CmpOp::Gt, &lit, &cfg, &mut scratch)
             .expect("filter")
             .cardinality();
     }

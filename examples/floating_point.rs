@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --release --example floating_point`
 
+use btrblocks_repro::btrblocks::block::{compress_block_with, decompress_block, BlockRef};
 use btrblocks_repro::btrblocks::scheme::double::decimal;
-use btrblocks_repro::btrblocks::scheme::{compress_double_with, decompress_double};
-use btrblocks_repro::btrblocks::writer::Reader;
-use btrblocks_repro::btrblocks::{Config, SchemeCode};
+use btrblocks_repro::btrblocks::{ColumnType, Config, DecodedColumn, SchemeCode};
 use btrblocks_repro::float::FloatCodec;
 
 fn main() {
@@ -38,13 +37,14 @@ fn main() {
             println!("  {:<10} {:>6.2}x", codec.name(), raw as f64 / size as f64);
         }
         // PDE in its fixed two-level cascade (always FastBP128 on outputs).
-        let cfg = Config::default().with_pool(&[SchemeCode::Pseudodecimal, SchemeCode::FastBp128]);
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut buf);
+        let cfg = Config { max_cascade_depth: 2, ..Config::default() }
+            .with_pool(&[SchemeCode::Pseudodecimal, SchemeCode::FastBp128]);
+        let buf = compress_block_with(SchemeCode::Pseudodecimal, BlockRef::Double(values), &cfg);
         println!("  {:<10} {:>6.2}x", "PDE", raw as f64 / buf.len() as f64);
         // And verify bitwise losslessness.
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).expect("decompress");
+        let Ok(DecodedColumn::Double(out)) = decompress_block(&buf, ColumnType::Double, &cfg) else {
+            panic!("decompress");
+        };
         assert!(values.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
     println!("\nall round-trips bitwise verified");

@@ -19,8 +19,11 @@ cargo test --quiet
 echo "== workspace tests (fault-injection campaigns included)"
 cargo test --workspace --quiet
 
-echo "== scan-engine suite (incl. object-store e2e)"
-cargo test -p btr-scan --quiet
+echo "== scan parts + scan service suites (incl. object-store e2e)"
+cargo test -p btr-scan -p btr-server --quiet
+
+echo "== one decoder per scheme (no allocate-fresh per-scheme decompress)"
+if grep -rn "pub fn decompress(" crates/btrblocks/src/scheme/; then echo "per-scheme decompress wrapper is back"; exit 1; fi
 
 echo "== decode-path panic gate"
 DECODE_CRATES=(

@@ -181,8 +181,10 @@ fn filter(input: &str, column: &str, op: &str, literal: &str) -> Result<(), AnyE
         ColumnType::String => Literal::Str(literal.as_bytes().to_vec()),
     };
     let mut matches = 0u64;
+    let mut scratch = btrblocks::DecodeScratch::new();
     for block in &col.blocks {
-        matches += btrblocks::filter_block(block, col.column_type, op, &lit, &cfg)?.cardinality();
+        let rows = btrblocks::filter_block(block, col.column_type, op, &lit, &cfg, &mut scratch)?;
+        matches += rows.cardinality();
     }
     println!("{matches} rows match (evaluated on compressed blocks)");
     Ok(())
